@@ -42,6 +42,7 @@
 #include <set>
 
 #include "core/registry.hpp"
+#include "core/step_solver.hpp"
 #include "core/worst_case.hpp"
 #include "engine/engine.hpp"
 #include "engine/journal.hpp"
@@ -108,7 +109,8 @@ using namespace cubisg;
                "                --journal/--resume skip already-completed\n"
                "                jobs after a crash or interrupt)\n"
                "  cubisg --version     print build provenance (version, git\n"
-               "                sha, compiler, obs/fault-injection flags)\n"
+               "                sha, compiler, obs/fault-injection flags,\n"
+               "                dispatched DP kernel ISA)\n"
                "\nglobal flags (any command):\n"
                "  --metrics-out FILE   write the metrics registry as JSON\n"
                "  --trace-out FILE     record phase spans; write Chrome\n"
@@ -1440,13 +1442,17 @@ int main(int argc, char** argv) {
   // --version takes no value, so it is handled before parse_args (which
   // requires one after every flag).  The same provenance is exported as
   // the cubisg_build_info gauge on /metrics and stamped into bench JSON.
+  // The DP kernel line is the forward-pass variant this host dispatches
+  // to at run time, not a build flag.
   if (cmd == "--version" || cmd == "version") {
     std::printf("cubisg %s\n  git sha:         %s\n  compiler:        %s\n"
-                "  obs:             %s\n  fault injection: %s\n",
+                "  obs:             %s\n  fault injection: %s\n"
+                "  dp kernel:       %s\n",
                 buildinfo::kVersion, buildinfo::kGitSha, buildinfo::kCompiler,
                 std::strcmp(buildinfo::kObsEnabled, "1") == 0 ? "on" : "off",
                 std::strcmp(buildinfo::kFaultInjection, "1") == 0 ? "on"
-                                                                  : "off");
+                                                                  : "off",
+                core::to_string(core::dp_kernel_isa()));
     return 0;
   }
   // Test hook: CUBISG_FAULT_INJECT="site[:count[:skip]],..." arms the

@@ -102,25 +102,32 @@ std::vector<TargetPls> build_f_pls(const SolveContext& ctx, double c,
   return out;
 }
 
-/// phi_i = chord interpolation of min(f1, f2) at breakpoints, the DP
-/// backend's objective (a uniformly O(1/K)-close under-approximation of
-/// the MILP's min(f1~, f2~); see step_solver.hpp).
-std::vector<PiecewiseLinear> phi_from(const std::vector<TargetPls>& pls) {
-  std::vector<PiecewiseLinear> phi;
-  phi.reserve(pls.size());
-  for (const TargetPls& t : pls) {
-    const std::size_t k_count = t.f1.segments();
-    phi.emplace_back(
-        [&](double x) {
-          // Only ever evaluated at breakpoints during construction.
-          const std::size_t k = static_cast<std::size_t>(
-              std::llround(x * static_cast<double>(k_count)));
-          return std::min(t.f1.value_at_breakpoint(k),
-                          t.f2.value_at_breakpoint(k));
-        },
-        k_count);
+/// phi_i = chord interpolation of min(f1, f2) at breakpoints, flattened
+/// [T][K+1]: the DP backend's objective (a uniformly O(1/K)-close
+/// under-approximation of the MILP's min(f1~, f2~); see step_solver.hpp).
+std::vector<double> phi_flat_from(const std::vector<TargetPls>& pls) {
+  if (pls.empty()) return {};
+  const std::size_t kp1 = pls.front().f1.segments() + 1;
+  std::vector<double> phi(pls.size() * kp1);
+  for (std::size_t i = 0; i < pls.size(); ++i) {
+    for (std::size_t k = 0; k < kp1; ++k) {
+      phi[i * kp1 + k] = std::min(pls[i].f1.value_at_breakpoint(k),
+                                  pls[i].f2.value_at_breakpoint(k));
+    }
   }
   return phi;
+}
+
+/// The step DP on a flat phi table.  The simplex budgets with the game's
+/// resources; any other polytope runs one DP per budget group.
+StepResult step_dp(const SolveContext& ctx, const games::CoverageSpace& space,
+                   const double* phi, std::size_t t_count,
+                   std::size_t segments, DpScratch& scratch) {
+  return space.is_simplex()
+             ? solve_step_dp_flat(phi, t_count, segments,
+                                  ctx.game.resources(), scratch)
+             : solve_step_dp_flat_space(phi, t_count, segments, space,
+                                        scratch);
 }
 
 /// Shared translation of a branch-and-bound verdict into a StepResult,
@@ -179,12 +186,10 @@ StepResult solve_step_milp(const SolveContext& ctx,
   mopt.sign_threshold = -opt.feasibility_slack;
   if (mopt.budget == nullptr) mopt.budget = ctx.budget;
   if (opt.warm_start_from_dp) {
-    // The space-driven DP matches the legacy single-budget / grouped
-    // warm starts exactly (same per-group knapsacks, same stitching).
-    StepResult dp =
-        space.is_simplex()
-            ? solve_step_dp(phi_from(pls), ctx.game.resources())
-            : solve_step_dp_space(phi_from(pls), space);
+    const std::vector<double> phi = phi_flat_from(pls);
+    DpScratch scratch;
+    StepResult dp = step_dp(ctx, space, phi.data(), layout.t_count,
+                            layout.k_count, scratch);
     mopt.warm_start = milp_point_from_x(layout, pls, dp.x, model.num_cols());
   }
   milp::MilpSolution sol = milp::solve_milp(model, mopt);
@@ -323,25 +328,28 @@ StepResult cubis_step(const SolveContext& ctx, double c,
     return forced;
   }
   const games::CoverageSpace space = step_space(ctx, options);
-  if (reuse != nullptr && space.is_simplex()) {
+  const bool dp_backend = options.backend == StepBackend::kDp;
+  // The MILP skeleton's budget rows are never patched, so its lane serves
+  // the simplex only; the DP lane serves every polytope.
+  if (reuse != nullptr && (dp_backend || space.is_simplex())) {
     if (reuse->cache.k_count() != options.segments) {
       throw InvalidModelError("cubis_step: reuse segment-count mismatch");
     }
     reuse->cache.set_value(c);
-    if (options.backend == StepBackend::kDp) {
-      return solve_step_dp_flat(reuse->cache.phi_flat().data(),
-                                reuse->cache.t_count(), options.segments,
-                                ctx.game.resources(), reuse->dp_scratch);
+    if (dp_backend) {
+      return step_dp(ctx, space, reuse->cache.phi_flat().data(),
+                     reuse->cache.t_count(), options.segments,
+                     reuse->dp_scratch);
     }
     return solve_step_milp_cached(ctx, options, *reuse);
   }
   const std::vector<TargetPls> pls =
       build_f_pls(ctx, c, options.segments, tables);
-  if (options.backend == StepBackend::kDp) {
-    if (space.is_simplex()) {
-      return solve_step_dp(phi_from(pls), ctx.game.resources());
-    }
-    return solve_step_dp_space(phi_from(pls), space);
+  if (dp_backend) {
+    const std::vector<double> phi = phi_flat_from(pls);
+    DpScratch scratch;
+    return step_dp(ctx, space, phi.data(), pls.size(), options.segments,
+                   scratch);
   }
   return solve_step_milp(ctx, pls, options, space);
 }
@@ -430,10 +438,12 @@ DefenderSolution CubisSolver::solve(const SolveContext& ctx) const {
   ws.tables_token = 1;
   const StepTables& tables = ws.tables;
   // One cross-round reuse slot per multisection lane (never shared across
-  // lanes: set_value and the DP scratch mutate in place).  Non-simplex
-  // polytopes keep the fresh path — the per-group DP is not flattened and
-  // the MILP skeleton's budget rows are never patched.
-  const bool use_lanes = opt_.reuse_rounds && space.is_simplex();
+  // lanes: set_value and the DP scratch mutate in place).  The flat DP
+  // serves every polytope; the MILP backend keeps the fresh path off the
+  // simplex, because its skeleton's budget rows are never patched.
+  const bool use_lanes =
+      opt_.reuse_rounds &&
+      (space.is_simplex() || opt_.backend == StepBackend::kDp);
   if (use_lanes) {
     ws.ensure_cubis_lanes(static_cast<std::size_t>(sections), tables,
                           opt_.backend == StepBackend::kMilp);

@@ -59,8 +59,9 @@ struct CubisOptions {
   /// MILP's constraint skeleton (patched, not rebuilt), and the previous
   /// round's optimal root basis as a simplex warm start.  Produces the
   /// same solution as the fresh path (the differential harness in
-  /// tests/test_warm_start.cpp pins this); ignored when group_budgets is
-  /// set.  Off = rebuild everything per round (the test oracle).
+  /// tests/test_warm_start.cpp pins this).  The DP backend reuses rounds
+  /// on every coverage polytope; the MILP backend only on the simplex.
+  /// Off = rebuild everything per round (the test oracle).
   bool reuse_rounds = true;
   /// Beyond-the-paper extension: multisection search.  Each round
   /// evaluates this many candidate utility values concurrently (thread

@@ -293,7 +293,7 @@ void RoundCache::set_value(double c) {
       pls_[i].f2.rebuild_from_values(s2);
     }
     // ... plus the T phi rebuilds done flat above: 3*T per round total,
-    // mirroring the 3*T functions the fresh path would have built.
+    // one per table the fresh path would have built.
     cache_hits_counter().add(static_cast<std::int64_t>(t_));
   } else {
     cache_hits_counter().add(static_cast<std::int64_t>(3 * t_));

@@ -8,13 +8,14 @@
 //
 // so a RoundCache precomputes the four tables L, U, L*Ud, U*Ud once per
 // solve and every round's f1/f2/phi rebuild is one axpy per function
-// (table_a - c * table_b) instead of 2*T*(K+1) functor evaluations and
-// 3*T fresh PiecewiseLinear allocations.  The step MILP's constraint
-// skeleton (rows (34)-(40), big-M rows) is likewise round-invariant: a
-// MilpStepCache builds it once (dense, so the entry layout never changes)
-// and patches only the c-dependent objective coefficients, big-M entries
-// and right-hand sides between rounds, carrying the previous round's
-// optimal root basis as a lp::WarmStart for the next root relaxation.
+// (table_a - c * table_b) instead of 2*T*(K+1) functor evaluations, 2*T
+// fresh PiecewiseLinear allocations and a flat phi table.  The step MILP's
+// constraint skeleton (rows (34)-(40), big-M rows) is likewise
+// round-invariant: a MilpStepCache builds it once (dense, so the entry
+// layout never changes) and patches only the c-dependent objective
+// coefficients, big-M entries and right-hand sides between rounds,
+// carrying the previous round's optimal root basis as a lp::WarmStart for
+// the next root relaxation.
 //
 // Everything here is bitwise-compatible with the fresh per-round path in
 // cubis.cpp (the reuse_rounds=off oracle): f1_of/f2_of use the same
@@ -115,8 +116,8 @@ class RoundCache {
   std::size_t k_count() const { return kp1_ - 1; }
 
   /// Rebuilds f1/f2/phi for the given binary-search value.  Counts one
-  /// piecewise.cache_hits_total per function rebuilt (3 per target), the
-  /// same 3*T functions the fresh path would have constructed.
+  /// piecewise.cache_hits_total per function rebuilt (3 per target: f1,
+  /// f2 and phi, the tables the fresh path would have built).
   void set_value(double c);
 
   /// phi breakpoints, flattened [T][K+1]: the DP backend's objective.

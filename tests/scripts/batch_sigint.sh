@@ -11,8 +11,11 @@ mkdir -p "$WORK"
 
 fail() { echo "FAIL: $*"; exit 1; }
 
-# Enough medium jobs that the batch runs for seconds on one worker.
-N=16
+# Enough medium jobs that the batch runs for seconds on one worker (about
+# 10 ms a job on a 4-vCPU AVX-512 Xeon, so ~3 s), and the SIGINT below,
+# sent within one 50 ms poll of the second result, lands mid-run with a
+# wide margin.
+N=320
 : > "$WORK/manifest.txt"
 for i in $(seq 1 "$N"); do
   "$CUBISG" generate --targets 150 --seed "$i" \

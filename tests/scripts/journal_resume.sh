@@ -14,7 +14,11 @@ mkdir -p "$WORK"
 
 fail() { echo "FAIL: $*"; exit 1; }
 
-N=12
+# Enough jobs that the batch runs for seconds on one worker (about 4.5 ms
+# a job on a 4-vCPU AVX-512 Xeon, so ~2 s), and the kill -9 below, sent
+# within one 50 ms poll of the second journaled job, lands mid-run with a
+# wide margin.
+N=480
 : > "$WORK/manifest.txt"
 for i in $(seq 1 "$N"); do
   "$CUBISG" generate --targets 120 --seed "$((100 + i))" \

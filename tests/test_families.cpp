@@ -25,6 +25,7 @@
 #include "engine/solve_cache.hpp"
 #include "games/coverage_space.hpp"
 #include "games/generators.hpp"
+#include "warm_oracle.hpp"
 
 namespace cubisg {
 namespace {
@@ -101,6 +102,30 @@ TEST(Families, EverySolverAuditsCleanOnPatrolGraph) {
   const FamilyFixture fx = patrol_graph_fixture();
   for (const std::string& name : core::solver_names()) {
     expect_clean(fx, name);
+  }
+}
+
+// ---- warm rounds: RoundCache lanes == fresh path, bitwise -------------
+
+void expect_warm_matches_fresh(const FamilyFixture& fx) {
+  core::CubisOptions opt;
+  opt.segments = 10;
+  opt.epsilon = 1e-3;
+  testing::expect_warm_matches_fresh_bitwise(
+      {fx.fg.game.game, fx.bounds, /*budget=*/nullptr,
+       /*workspace=*/nullptr, &fx.fg.coverage},
+      opt, fx.name);
+}
+
+TEST(Families, WarmRoundsMatchFreshBitwiseOnMultiDefender) {
+  for (std::uint64_t seed : {31, 33, 35}) {
+    expect_warm_matches_fresh(multi_defender_fixture(seed));
+  }
+}
+
+TEST(Families, WarmRoundsMatchFreshBitwiseOnPatrolGraph) {
+  for (std::uint64_t seed : {32, 34, 36}) {
+    expect_warm_matches_fresh(patrol_graph_fixture(seed));
   }
 }
 

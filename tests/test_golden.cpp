@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -57,6 +58,10 @@ double num(const std::map<std::string, std::string>& kv,
 struct GoldenCase {
   const char* file;
 };
+
+// Print the fixture name, not the pointer bytes gtest would show by
+// default: the listed test names must not depend on load addresses.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.file; }
 
 class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 

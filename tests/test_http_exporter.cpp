@@ -391,27 +391,46 @@ TEST_F(HttpExporterFixture, ConcurrentScrapesWhileWritersHammer) {
   hist.reset();
 
   constexpr int kWriters = 4;
-  constexpr int kOpsPerWriter = 20000;
+  constexpr std::int64_t kOpsPerWriter = 20000;
   constexpr int kScrapers = 3;
   std::atomic<bool> writers_done{false};
   std::atomic<int> scrapes_ok{0};
+  std::atomic<int> scrapers_live{kScrapers};
+  std::atomic<std::int64_t> ops_total{0};
 
+  // Writers run at least kOpsPerWriter ops each and then keep going until
+  // kScrapers scrapes have completed against live writers: on a loaded
+  // host the fixed batch alone can end before the first scrape lands,
+  // leaving nothing concurrent to check.  A scraper that bails out
+  // on a failed assertion leaves scrapers_live, so writers never spin on it.
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&counter, &hist, w] {
-      for (int i = 0; i < kOpsPerWriter; ++i) {
+    writers.emplace_back([&counter, &hist, &scrapes_ok, &scrapers_live,
+                          &ops_total, w] {
+      std::int64_t i = 0;
+      for (; i < kOpsPerWriter ||
+             (scrapes_ok.load(std::memory_order_acquire) < kScrapers &&
+              scrapers_live.load(std::memory_order_acquire) > 0);
+           ++i) {
         counter.add(1);
         hist.record(static_cast<double>((i + w) % 5) * 0.25);
       }
+      ops_total.fetch_add(i, std::memory_order_relaxed);
     });
   }
 
+  struct LeaveOnExit {
+    std::atomic<int>& live;
+    ~LeaveOnExit() { live.fetch_sub(1, std::memory_order_release); }
+  };
   std::vector<std::thread> scrapers;
   scrapers.reserve(kScrapers);
   const int port = server_.port();
   for (int s = 0; s < kScrapers; ++s) {
-    scrapers.emplace_back([&writers_done, &scrapes_ok, port] {
+    scrapers.emplace_back([&writers_done, &scrapes_ok, &scrapers_live,
+                           port] {
+      const LeaveOnExit leave{scrapers_live};
       while (!writers_done.load(std::memory_order_acquire)) {
         const HttpResponse resp = http_get(port, "/metrics");
         ASSERT_TRUE(resp.ok);
@@ -430,13 +449,13 @@ TEST_F(HttpExporterFixture, ConcurrentScrapesWhileWritersHammer) {
   // Quiescent scrape: the exact totals must now be visible.
   const HttpResponse resp = http_get(port, "/metrics");
   ASSERT_TRUE(resp.ok);
+  const std::int64_t total = ops_total.load();
+  EXPECT_GE(total, kWriters * kOpsPerWriter);
   const std::string want_counter =
-      "httptest_hammer_total " +
-      std::to_string(std::int64_t{kWriters} * kOpsPerWriter) + "\n";
+      "httptest_hammer_total " + std::to_string(total) + "\n";
   EXPECT_NE(resp.body.find(want_counter), std::string::npos);
   const std::string want_count =
-      "httptest_hammer_latency_count " +
-      std::to_string(std::int64_t{kWriters} * kOpsPerWriter) + "\n";
+      "httptest_hammer_latency_count " + std::to_string(total) + "\n";
   EXPECT_NE(resp.body.find(want_count), std::string::npos);
 }
 

@@ -10,9 +10,12 @@
 #include "core/hfunction.hpp"
 #include "core/piecewise.hpp"
 #include "core/step_solver.hpp"
+#include "reference_dp.hpp"
 
 namespace cubisg::core {
 namespace {
+
+using testing::solve_step_dp;
 
 TEST(Piecewise, ExactAtBreakpoints) {
   auto f = [](double x) { return std::exp(-2.0 * x); };
@@ -305,8 +308,9 @@ TEST(StepSolver, FractionalBudgetFlooredConservatively) {
 }
 
 TEST(StepSolver, FlatDpMatchesReferenceDpBitwise) {
-  // solve_step_dp_flat (the reuse_rounds path) promises bit-identical
-  // objective AND coverage vector to solve_step_dp, including tie-breaks.
+  // solve_step_dp_flat (the production kernel) promises bit-identical
+  // objective AND coverage vector to the reference solve_step_dp,
+  // including tie-breaks.
   Rng rng(111);
   DpScratch scratch;  // deliberately reused across trials, like the solver
   for (int trial = 0; trial < 200; ++trial) {

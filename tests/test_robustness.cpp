@@ -2,6 +2,7 @@
 // fault-injection hooks, graceful degradation of every pipeline layer
 // (simplex pivots -> B&B nodes -> CUBIS rounds), the numeric-failure
 // recovery ladder, degenerate inputs and malformed model files.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -17,6 +18,7 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/cubis.hpp"
+#include "core/round_cache.hpp"
 #include "games/generators.hpp"
 #include "lp/io.hpp"
 #include "lp/model.hpp"
@@ -352,8 +354,27 @@ TEST(CubisBudget, DeadlineBoundedSolveReturnsWithinBudgetPlusGrace) {
   core::CubisOptions opt;
   opt.segments = 40;
   opt.epsilon = 1e-12;
+  // The deadline is two binary-search rounds on this instance, timed
+  // here on the warm path the solve takes (the fastest of three).
+  // Reaching epsilon from the payoff-range bracket takes ~45 rounds, so
+  // the search cannot finish inside the deadline however fast the step
+  // kernel is.
+  double round_sec = 0.0;
+  {
+    const core::SolveContext ctx = f.ctx();
+    const core::StepTables tables = core::build_step_tables(ctx, opt.segments);
+    core::RoundReuse lane(tables, /*milp_backend=*/false);
+    const double c = 0.5 * (f.ug.game.min_defender_penalty() +
+                            f.ug.game.max_defender_reward());
+    for (int rep = 0; rep < 3; ++rep) {
+      Timer round_timer;
+      (void)core::cubis_step(ctx, c, opt, &tables, &lane);
+      const double sec = round_timer.seconds();
+      round_sec = rep == 0 ? sec : std::min(round_sec, sec);
+    }
+  }
   SolveBudget budget;
-  const double deadline_sec = 0.15;
+  const double deadline_sec = 2.0 * round_sec;
   budget.set_deadline_after(deadline_sec);
   Timer timer;
   core::DefenderSolution sol = core::CubisSolver(opt).solve(f.ctx(&budget));

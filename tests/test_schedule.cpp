@@ -13,6 +13,7 @@
 #include "core/worst_case.hpp"
 #include "games/generators.hpp"
 #include "games/schedule.hpp"
+#include "reference_dp.hpp"
 
 namespace cubisg {
 namespace {
@@ -32,10 +33,10 @@ TEST(GroupedStep, MatchesIndependentDps) {
       core::PiecewiseLinear(up, 4), core::PiecewiseLinear(up, 4)};
   std::vector<std::size_t> groups{0, 0, 1, 1};
   std::vector<double> budgets{1.0, 1.0};
-  auto grouped = core::solve_step_dp_grouped(phi, groups, budgets);
+  auto grouped = testing::solve_step_dp_grouped(phi, groups, budgets);
 
-  auto g0 = core::solve_step_dp({phi[0], phi[1]}, 1.0);
-  auto g1 = core::solve_step_dp({phi[2], phi[3]}, 1.0);
+  auto g0 = testing::solve_step_dp({phi[0], phi[1]}, 1.0);
+  auto g1 = testing::solve_step_dp({phi[2], phi[3]}, 1.0);
   EXPECT_NEAR(grouped.objective, g0.objective + g1.objective, 1e-12);
   EXPECT_NEAR(grouped.x[0], g0.x[0], 1e-12);
   EXPECT_NEAR(grouped.x[3], g1.x[1], 1e-12);
@@ -47,7 +48,7 @@ TEST(GroupedStep, BudgetBindsPerGroup) {
   std::vector<core::PiecewiseLinear> phi(4, core::PiecewiseLinear(up, 5));
   std::vector<std::size_t> groups{0, 0, 1, 1};
   std::vector<double> budgets{1.0, 1.0};
-  auto r = core::solve_step_dp_grouped(phi, groups, budgets);
+  auto r = testing::solve_step_dp_grouped(phi, groups, budgets);
   EXPECT_NEAR(r.x[0] + r.x[1], 1.0, 1e-12);
   EXPECT_NEAR(r.x[2] + r.x[3], 1.0, 1e-12);
 }
@@ -55,11 +56,11 @@ TEST(GroupedStep, BudgetBindsPerGroup) {
 TEST(GroupedStep, Validation) {
   auto up = [](double x) { return x; };
   std::vector<core::PiecewiseLinear> phi(2, core::PiecewiseLinear(up, 4));
-  EXPECT_THROW(core::solve_step_dp_grouped(phi, {0}, {1.0}),
+  EXPECT_THROW(testing::solve_step_dp_grouped(phi, {0}, {1.0}),
                InvalidModelError);  // groups size mismatch
-  EXPECT_THROW(core::solve_step_dp_grouped(phi, {0, 5}, {1.0}),
+  EXPECT_THROW(testing::solve_step_dp_grouped(phi, {0, 5}, {1.0}),
                InvalidModelError);  // group id out of range
-  EXPECT_THROW(core::solve_step_dp_grouped(phi, {0, 0}, {}),
+  EXPECT_THROW(testing::solve_step_dp_grouped(phi, {0, 0}, {}),
                InvalidModelError);  // no budgets
 }
 

@@ -20,6 +20,7 @@
 #include "games/generators.hpp"
 #include "lp/simplex.hpp"
 #include "obs/metrics.hpp"
+#include "warm_oracle.hpp"
 
 namespace cubisg::core {
 namespace {
@@ -133,17 +134,19 @@ TEST(WarmStartDifferential, PolishAndTopUpComposeWithReuse) {
                     "polish");
 }
 
-TEST(WarmStartDifferential, GroupedBudgetsFallBackToFreshPath) {
-  // reuse_rounds is documented as ignored with group budgets: both solves
-  // must take the fresh path and agree trivially.
+TEST(WarmStartDifferential, GroupedBudgetsWarmMatchesFreshBitwise) {
+  // The DP lanes serve grouped polytopes too: warm rounds must reproduce
+  // the fresh per-group DPs bitwise, with no function built.  Interleaved
+  // groups exercise the kernel's gathered (non-contiguous) rows.
   Fixture f(53, 6, 2.0, 1.0);
   CubisOptions opt;
   opt.segments = 10;
   opt.epsilon = 1e-3;
   opt.target_groups = {0, 0, 0, 1, 1, 1};
   opt.group_budgets = {1.0, 1.0};
-  expect_equivalent(solve_with(f, opt, true), solve_with(f, opt, false),
-                    "grouped");
+  testing::expect_warm_matches_fresh_bitwise(f.ctx(), opt, "grouped");
+  opt.target_groups = {0, 1, 0, 1, 1, 0};
+  testing::expect_warm_matches_fresh_bitwise(f.ctx(), opt, "interleaved");
 }
 
 // ---- step-level differential: bitwise on the DP backend ------------------
