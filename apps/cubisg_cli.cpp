@@ -145,9 +145,9 @@ using namespace cubisg;
                "  --isolate 0|1        run each solve in a forked worker\n"
                "                       process: a crashing solve is retried\n"
                "                       on a respawned worker instead of\n"
-               "                       taking the service down (POSIX +\n"
-               "                       CUBISG_OBS=ON builds; degrades to\n"
-               "                       threads with a warning elsewhere);\n"
+               "                       taking the service down (POSIX\n"
+               "                       builds; degrades to threads with a\n"
+               "                       warning elsewhere);\n"
                "                       live worker state at GET /workersz\n"
                "  --retries N          extra attempts per job on transient\n"
                "                       failures (numeric trouble, crashes);\n"
@@ -451,17 +451,14 @@ int cmd_solve(const Args& args) {
   arm_budget_from_flags(args, budget);
   install_signal_handlers();
   core::DefenderSolution sol;
-#if CUBISG_OBS_ENABLED
   obs::begin_phase_accounting();
   const std::int64_t report_before =
       obs::last_solve_report_on_this_thread().id;
-#endif
   {
     BudgetRegistration reg(budget);
     sol = solver->solve({scenario.game.game, bounds, &budget,
                          /*workspace=*/nullptr, space_of(scenario)});
   }
-#if CUBISG_OBS_ENABLED
   // One-shot solves feed the flight recorder too (job_id 0): the same
   // --slow-solve-ms forensics work without the engine.
   {
@@ -484,7 +481,6 @@ int cmd_solve(const Args& args) {
       recorder.record(std::move(entry));
     }
   }
-#endif
   print_solution(scenario, sol, solver->name().c_str());
   if (is_budget_stop(sol.status)) {
     std::printf("note: stopped early (%s); coverage above is the best "
@@ -850,14 +846,11 @@ engine::EngineOptions engine_options_from(const Args& args) {
 /// ShadowAuditor and hooks it into the engine's completion callback, so
 /// every Nth completed solve is re-verified against its certificate on a
 /// low-priority background worker.  Returns nullptr when the flag is
-/// absent; with the observability layer compiled out the flag warns and
-/// no-ops (there would be no /auditz ring or audit.* metrics to see the
-/// verdicts in), so scripted runs keep working.
+/// absent.
 std::unique_ptr<audit::ShadowAuditor> maybe_start_auditor(
     const Args& args, engine::EngineOptions& eopt) {
   const long every = args.get_i("audit-sample", 0);
   if (every <= 0) return nullptr;
-#if CUBISG_OBS_ENABLED
   audit::ShadowAuditor::Options aopt;
   aopt.sample_every = static_cast<std::size_t>(every);
   auto auditor = std::make_unique<audit::ShadowAuditor>(aopt);
@@ -876,12 +869,6 @@ std::unique_ptr<audit::ShadowAuditor> maybe_start_auditor(
   std::fprintf(stderr, "shadow audit: verifying every %ldth solve\n",
                every);
   return auditor;
-#else
-  std::fprintf(stderr,
-               "warning: --audit-sample ignored (shadow audits need the "
-               "observability layer; built with CUBISG_OBS=OFF)\n");
-  return nullptr;
-#endif
 }
 
 /// Drains the auditor (if armed) and prints its exit summary.
@@ -1410,14 +1397,13 @@ struct TelemetryOutputs {
 TelemetryOutputs g_telemetry;
 
 /// Starts the live exporter when --listen was given.  Exits the process
-/// on a real bind failure; a build with the exporter compiled out
-/// (CUBISG_OBS=OFF) warns and continues so scripted runs still work.
+/// on a real bind failure; a non-POSIX build, where the exporter is
+/// compiled out, warns and continues so scripted runs still work.
 void maybe_start_exporter(obs::HttpExporter& exporter, const Args& args) {
   if (args.flags.find("listen") == args.flags.end()) return;
   if (!obs::http_exporter_available()) {
     std::fprintf(stderr,
-                 "warning: --listen ignored (%s)\n",
-                 "telemetry service compiled out with CUBISG_OBS=OFF");
+                 "warning: --listen ignored (no exporter on this platform)\n");
     return;
   }
   obs::HttpExporterOptions opt;
@@ -1446,10 +1432,9 @@ int main(int argc, char** argv) {
   // to at run time, not a build flag.
   if (cmd == "--version" || cmd == "version") {
     std::printf("cubisg %s\n  git sha:         %s\n  compiler:        %s\n"
-                "  obs:             %s\n  fault injection: %s\n"
+                "  fault injection: %s\n"
                 "  dp kernel:       %s\n",
                 buildinfo::kVersion, buildinfo::kGitSha, buildinfo::kCompiler,
-                std::strcmp(buildinfo::kObsEnabled, "1") == 0 ? "on" : "off",
                 std::strcmp(buildinfo::kFaultInjection, "1") == 0 ? "on"
                                                                   : "off",
                 core::to_string(core::dp_kernel_isa()));
@@ -1468,14 +1453,8 @@ int main(int argc, char** argv) {
     obs::set_trace_enabled(true);
   }
   if (args.flags.count("slow-solve-ms") != 0) {
-#if CUBISG_OBS_ENABLED
     obs::FlightRecorder::global().arm(args.get_d("slow-solve-ms", 0.0) *
                                       1e-3);
-#else
-    std::fprintf(stderr,
-                 "warning: --slow-solve-ms ignored (flight recorder "
-                 "compiled out with CUBISG_OBS=OFF)\n");
-#endif
   }
   if (!g_telemetry.profile_path.empty()) {
     if (obs::profiler_available()) {

@@ -243,7 +243,6 @@ int main() {
   std::printf("wall-time reduction: %6.1f %%  (gate: >= 25%%)\n",
               reduction_pct);
   bool r4_ok = reduction_pct >= 25.0;
-#if CUBISG_OBS_ENABLED
   // functions_built gate only means something when collection is compiled
   // in; warm solves build ~none, so warm*10 <= cold also covers the
   // divide-by-zero corner.
@@ -255,7 +254,6 @@ int main() {
                  static_cast<long long>(warm_built));
     r4_ok = false;
   }
-#endif
   if (reduction_pct < 25.0) {
     std::fprintf(stderr,
                  "R4 FAILED: wall-time reduction %.1f%% below the 25%% "

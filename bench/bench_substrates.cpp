@@ -112,26 +112,6 @@ void BM_SimplexWarmStart(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexWarmStart)->Arg(40)->Arg(120);
 
-void BM_MilpParallelWorkers(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  Rng rng(6);
-  lp::Model m;
-  m.set_objective_sense(lp::Objective::kMaximize);
-  int row = m.add_row("cap", lp::Sense::kLe, 5.0);
-  for (int j = 0; j < 16; ++j) {
-    int col = m.add_col("b" + std::to_string(j), 0.0, 1.0,
-                        rng.uniform(0.5, 2.0));
-    m.set_integer(col);
-    m.set_coeff(row, col, rng.uniform(0.2, 1.0));
-  }
-  milp::MilpOptions opt;
-  opt.num_workers = workers;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(milp::solve_milp(m, opt));
-  }
-}
-BENCHMARK(BM_MilpParallelWorkers)->Arg(1)->Arg(2)->Arg(4);
-
 void BM_ThreadPoolDispatch(benchmark::State& state) {
   ThreadPool pool(2);
   for (auto _ : state) {

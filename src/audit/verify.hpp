@@ -101,7 +101,7 @@ AuditResult verify(const games::SecurityGame& game,
 /// audit.failures_total, keeps the audit.max_residual high-water gauge
 /// and the audit.verify_seconds histogram, and on failure deposits a
 /// record into obs::AuditLog::global() (served at GET /auditz).  Returns
-/// the AuditLog record id (0 when ok or observability is compiled out).
+/// the AuditLog record id (0 when ok).
 std::int64_t record_outcome(const AuditResult& result,
                             const std::string& solver, std::uint64_t job_id,
                             const std::string& tag);

@@ -224,11 +224,7 @@ StepResult solve_step_milp_cached(const SolveContext& ctx,
     mopt.warm_start = milp_point_from_x(layout, reuse.cache.pls(), dp.x,
                                         cache.model().num_cols());
   }
-  if (mopt.num_workers <= 1) {
-    // Cross-round root basis; the parallel search ignores the handle (its
-    // write-back order would race), so don't bother pointing it there.
-    mopt.root_warm = &cache.root_basis();
-  }
+  mopt.root_warm = &cache.root_basis();  // cross-round root basis
   milp::MilpSolution sol = milp::solve_milp(cache.model(), mopt);
   return extract_step_result(sol, layout, opt);
 }
@@ -677,7 +673,6 @@ DefenderSolution CubisSolver::solve(const SolveContext& ctx) const {
     }
   }
   finalize_solution(ctx, sol, timer.seconds());
-#if CUBISG_OBS_ENABLED
   // Publish the convergence report (served live at GET /solvez).  The
   // B&B/simplex totals come from the SolveScope delta, so concurrent
   // solves attribute overlapping activity to each other, same caveat as
@@ -700,7 +695,6 @@ DefenderSolution CubisSolver::solve(const SolveContext& ctx) const {
   report.simplex_iters = sol.telemetry.counter("simplex.phase1_iters") +
                          sol.telemetry.counter("simplex.phase2_iters");
   obs::SolveReportBuffer::global().add(std::move(report));
-#endif
   return sol;
 }
 

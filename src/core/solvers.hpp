@@ -76,7 +76,7 @@ struct DefenderSolution {
   std::int64_t milp_nodes = 0;
   double wall_seconds = 0.0;
   /// Registry delta covering this solve (empty when the solver predates
-  /// instrumentation or observability is compiled out).
+  /// instrumentation).
   obs::SolveTelemetry telemetry;
   /// Solver-emitted evidence for audit::verify.  finalize_solution fills
   /// the base claims (shape, residuals, claimed worst case) for every

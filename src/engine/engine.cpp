@@ -431,9 +431,7 @@ JobOutcome SolveEngine::execute_process(Item& item, std::size_t index,
                               : opt_.default_deadline_seconds;
   const std::int64_t max_nodes =
       item.job.max_nodes > 0 ? item.job.max_nodes : opt_.default_max_nodes;
-#if CUBISG_OBS_ENABLED
   obs::TraceJobScope job_scope(item.id);
-#endif
   obs::TraceSpan span("engine.execute");
   JobOutcome out =
       supervisor_->run_job(index, item.job, item.id, deadline, max_nodes,
@@ -476,14 +474,12 @@ JobOutcome SolveEngine::execute(
   workspace.transplant_stats = {};
   workspace.tables_token = 0;
 
-#if CUBISG_OBS_ENABLED
   // Everything the solver records during this job — nested spans, the
   // published SolveReport — is attributable to this job id.
   obs::TraceJobScope job_scope(item.id);
   obs::begin_phase_accounting();
   const std::int64_t report_before =
       obs::last_solve_report_on_this_thread().id;
-#endif
 
   Timer solve_timer;
   {
@@ -520,7 +516,6 @@ JobOutcome SolveEngine::execute(
     }
   }
 
-#if CUBISG_OBS_ENABLED
   obs::FlightRecorder& recorder = obs::FlightRecorder::global();
   if (recorder.armed() && out.solve_seconds >= recorder.slo_seconds()) {
     EngineMetrics::get().slow_solves.add(1);
@@ -543,7 +538,6 @@ JobOutcome SolveEngine::execute(
     }
     recorder.record(std::move(entry));
   }
-#endif
   return out;
 }
 

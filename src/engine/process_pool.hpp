@@ -29,10 +29,10 @@
 // execution, tracing is disabled, and exit is always _exit() (no static
 // destructors, no atexit flushes that belong to the parent).
 //
-// Availability: POSIX + CUBISG_OBS=ON builds only.  Elsewhere
-// process_isolation_available() is false and the engine degrades to
-// thread isolation with a warning; the pure encode/decode helpers stay
-// compiled everywhere so the wire tests run on every platform.
+// Availability: POSIX builds only.  Elsewhere process_isolation_available()
+// is false and the engine degrades to thread isolation with a warning; the
+// pure encode/decode helpers stay compiled everywhere so the wire tests run
+// on every platform.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +42,8 @@
 
 #include "core/cubis.hpp"  // StepTables (cache seed/donor frames)
 #include "core/solvers.hpp"
-#include "obs/metrics.hpp"  // CUBISG_OBS_ENABLED
 
-#if (defined(__unix__) || defined(__APPLE__)) && CUBISG_OBS_ENABLED
+#if defined(__unix__) || defined(__APPLE__)
 #define CUBISG_PROCESS_ISOLATION 1
 #else
 #define CUBISG_PROCESS_ISOLATION 0
@@ -52,9 +51,9 @@
 
 namespace cubisg::engine {
 
-/// True when fork-based worker isolation is compiled in (POSIX target,
-/// observability layer on).  When false the engine silently has only
-/// thread isolation and EngineOptions::isolation degrades with a warning.
+/// True when fork-based worker isolation is compiled in (POSIX target).
+/// When false the engine has only thread isolation and
+/// EngineOptions::isolation degrades with a warning.
 bool process_isolation_available();
 
 // ---- wire format (pure; compiled on every platform) --------------------

@@ -4,14 +4,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <condition_variable>
-#include <memory>
-#include <mutex>
 #include <map>
+#include <memory>
 #include <queue>
-#include <set>
-#include <thread>
-#include <tuple>
 
 #include "lp/io.hpp"
 #include "lp/presolve.hpp"
@@ -539,328 +534,11 @@ class BranchAndBound {
   std::int64_t inc_updates_ = 0;
 };
 
-/// Shared-frontier parallel branch and bound.  Each worker owns a private
-/// copy of the model (bound changes are applied/restored locally); the
-/// frontier, incumbent and statistics live behind one mutex.  Termination:
-/// the frontier is empty AND no worker is mid-node.  The global bound for
-/// sign queries covers both queued nodes and nodes in flight.
-class ParallelBranchAndBound {
- public:
-  ParallelBranchAndBound(const lp::Model& model, const MilpOptions& options)
-      : base_(model), opt_(options) {
-    base_.validate();
-    if (opt_.budget != nullptr && opt_.lp.budget == nullptr) {
-      opt_.lp.budget = opt_.budget;
-    }
-    sign_ = base_.objective_sense() == lp::Objective::kMaximize ? 1.0 : -1.0;
-    for (int j = 0; j < base_.num_cols(); ++j) {
-      if (base_.col_is_integer(j)) int_cols_.push_back(j);
-    }
-  }
-
-  MilpSolution run() {
-    // Seed the incumbent from the caller's warm start, like the
-    // sequential path.
-    if (opt_.warm_start) {
-      const std::vector<double>& x = *opt_.warm_start;
-      if (static_cast<int>(x.size()) == base_.num_cols() &&
-          base_.max_violation(x) <= 1e-7) {
-        bool integral = true;
-        for (int j : int_cols_) {
-          integral = integral &&
-                     std::abs(x[j] - std::round(x[j])) <= opt_.int_tol;
-        }
-        if (integral) {
-          incumbent_ = x;
-          incumbent_score_ = sign_ * base_.objective_value(x);
-          has_incumbent_ = true;
-        }
-      }
-    }
-    check_early_exit_locked();
-
-    frontier_.push({kInfD, Node{nullptr, sign_ > 0 ? kInfD : -kInfD, 0,
-                                nullptr, -1, 0.0}});
-    {
-      const int workers = std::max(1, opt_.num_workers);
-      std::vector<std::jthread> pool;
-      pool.reserve(workers);
-      for (int w = 0; w < workers; ++w) {
-        pool.emplace_back([this] { worker_loop(); });
-      }
-      // jthreads join here.
-    }
-
-    MilpSolution out;
-    out.nodes = nodes_;
-    out.lp_iterations = lp_iterations_;
-    if (decided_ != SolverStatus::kNumericalIssue) {
-      out.status = decided_;
-    } else if (limit_hit_ != SolverStatus::kNumericalIssue) {
-      out.status = limit_hit_;
-    } else {
-      out.status = has_incumbent_ ? SolverStatus::kOptimal
-                                  : SolverStatus::kInfeasible;
-    }
-    if (has_incumbent_) {
-      out.x = incumbent_;
-      out.objective = sign_ * incumbent_score_;
-    }
-    out.best_bound = sign_ * global_bound_score_locked();
-
-    MilpMetrics& m = MilpMetrics::get();
-    m.frontier_open.set(0.0);
-    if (nodes_ != 0) m.nodes.add(nodes_);
-    if (lp_solves_ != 0) m.lp_relaxations.add(lp_solves_);
-    if (inc_updates_ != 0) m.incumbents.add(inc_updates_);
-    if (out.status == SolverStatus::kEarlyPositive ||
-        out.status == SolverStatus::kEarlyNegative) {
-      m.early_exits.add(1);
-    }
-    return out;
-  }
-
- private:
-  void worker_loop() {
-    // Each worker mutates its own model copy.
-    lp::Model local = base_;
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      cv_.wait(lock, [this] {
-        return stop_ || !frontier_.empty() || active_ == 0;
-      });
-      if (stop_ || (frontier_.empty() && active_ == 0)) {
-        cv_.notify_all();
-        return;
-      }
-      if (frontier_.empty()) continue;  // spurious wake while others work
-
-      if (opt_.max_nodes >= 0 && nodes_ >= opt_.max_nodes) {
-        limit_hit_ = SolverStatus::kIterLimit;
-        stop_ = true;
-        cv_.notify_all();
-        return;
-      }
-      if (opt_.time_limit_sec > 0 &&
-          timer_.seconds() > opt_.time_limit_sec) {
-        limit_hit_ = SolverStatus::kTimeLimit;
-        stop_ = true;
-        cv_.notify_all();
-        return;
-      }
-      // Shared budget: the token's trip is sticky, so every worker that
-      // polls it sees the same verdict and the pool unwinds consistently.
-      if (opt_.budget != nullptr) {
-        if (const auto stop = opt_.budget->exceeded()) {
-          limit_hit_ = *stop;
-          stop_ = true;
-          cv_.notify_all();
-          return;
-        }
-      }
-      if (faultinject::should_fail(faultinject::Site::kMilpDeadline)) {
-        limit_hit_ = SolverStatus::kDeadlineExceeded;
-        stop_ = true;
-        cv_.notify_all();
-        return;
-      }
-
-      Node node = frontier_.top().second;
-      const double node_parent_score = frontier_.top().first;
-      frontier_.pop();
-      if (has_incumbent_ && std::isfinite(node.parent_bound) &&
-          sign_ * node.parent_bound <= incumbent_score_ + opt_.gap_abs) {
-        continue;  // pruned by a newer incumbent
-      }
-      ++active_;
-      inflight_.insert(node_parent_score);
-      ++nodes_;
-      if (opt_.budget != nullptr) opt_.budget->charge_nodes(1);
-      lock.unlock();
-
-      // ---- out-of-lock node processing ----
-      ProcessResult res = process_node(local, node);
-
-      lock.lock();
-      lp_iterations_ += res.lp_iterations;
-      lp_solves_ += res.lp_solves;
-      inflight_.erase(inflight_.find(node_parent_score));
-      --active_;
-      if (res.incumbent_candidate) {
-        const double score = sign_ * res.incumbent_objective;
-        if (!has_incumbent_ || score > incumbent_score_) {
-          incumbent_ = std::move(res.incumbent_x);
-          incumbent_score_ = score;
-          has_incumbent_ = true;
-          ++inc_updates_;
-          MilpMetrics::get().incumbent_objective.set(
-              res.incumbent_objective);
-        }
-      }
-      for (auto& child : res.children) {
-        frontier_.push(std::move(child));
-      }
-      MilpMetrics::get().frontier_open.set(
-          static_cast<double>(frontier_.size()));
-      // A budget trip inside the node LP drops the node's children, so
-      // without this poll the frontier could drain and the search would
-      // exit reporting infeasible/optimal instead of the budget status.
-      if (opt_.budget != nullptr &&
-          limit_hit_ == SolverStatus::kNumericalIssue) {
-        if (const auto bstop = opt_.budget->exceeded()) {
-          limit_hit_ = *bstop;
-          stop_ = true;
-        }
-      }
-      check_early_exit_locked();
-      if (has_incumbent_ &&
-          global_bound_score_locked() - incumbent_score_ <= opt_.gap_abs) {
-        stop_ = true;  // optimality proven
-      }
-      cv_.notify_all();
-    }
-  }
-
-  struct ProcessResult {
-    std::vector<std::pair<double, Node>> children;
-    bool incumbent_candidate = false;
-    double incumbent_objective = 0.0;
-    std::vector<double> incumbent_x;
-    std::int64_t lp_iterations = 0;
-    std::int64_t lp_solves = 0;
-  };
-
-  ProcessResult process_node(lp::Model& local, const Node& node) {
-    ProcessResult res;
-    // Apply the bound chain onto the worker-local model.
-    std::vector<std::tuple<int, double, double>> saved;
-    bool feasible = true;
-    for (const BoundChange* c = node.changes.get(); c; c = c->parent.get()) {
-      saved.emplace_back(c->col, local.col_lower(c->col),
-                         local.col_upper(c->col));
-      const double lo = std::max(local.col_lower(c->col), c->lo);
-      const double hi = std::min(local.col_upper(c->col), c->hi);
-      if (lo > hi + 1e-12) {
-        feasible = false;
-        local.set_col_bounds(c->col, lo, lo);
-      } else {
-        local.set_col_bounds(c->col, lo, std::max(lo, hi));
-      }
-    }
-    if (feasible) {
-      lp::LpSolution rel = opt_.use_presolve && node.depth > 0
-                               ? lp::solve_lp_presolved(local, opt_.lp)
-                               : lp::solve_lp(local, opt_.lp);
-      res.lp_iterations = rel.iterations;
-      res.lp_solves = 1;
-      if (rel.status == SolverStatus::kOptimal) {
-        int frac = -1;
-        double best_frac = opt_.int_tol;
-        for (int j : int_cols_) {
-          const double f = std::abs(rel.x[j] - std::round(rel.x[j]));
-          if (f > best_frac) {
-            best_frac = f;
-            frac = j;
-          }
-        }
-        if (frac < 0) {
-          res.incumbent_candidate = true;
-          res.incumbent_objective = rel.objective;
-          res.incumbent_x = rel.x;
-        } else {
-          const double v = rel.x[frac];
-          auto down = std::make_shared<BoundChange>(BoundChange{
-              frac, local.col_lower(frac), std::floor(v), node.changes});
-          auto up = std::make_shared<BoundChange>(BoundChange{
-              frac, std::ceil(v), local.col_upper(frac), node.changes});
-          const double score = sign_ * rel.objective;
-          if (down->lo <= down->hi + 1e-12) {
-            res.children.push_back({score, Node{down, rel.objective,
-                                                node.depth + 1, nullptr,
-                                                -1, 0.0}});
-          }
-          if (up->lo <= up->hi + 1e-12) {
-            res.children.push_back({score, Node{up, rel.objective,
-                                                node.depth + 1, nullptr,
-                                                -1, 0.0}});
-          }
-        }
-      }
-      // Infeasible/limit/numerical nodes are dropped (as sequential does).
-    }
-    for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-      local.set_col_bounds(std::get<0>(*it), std::get<1>(*it),
-                           std::get<2>(*it));
-    }
-    return res;
-  }
-
-  /// Best score still reachable anywhere (caller holds the mutex).
-  double global_bound_score_locked() const {
-    double bound = has_incumbent_ ? incumbent_score_ : -kInfD;
-    if (!frontier_.empty()) bound = std::max(bound, frontier_.top().first);
-    if (!inflight_.empty()) bound = std::max(bound, *inflight_.rbegin());
-    return bound;
-  }
-
-  /// Resolves sign queries (caller holds the mutex).
-  void check_early_exit_locked() {
-    if (!opt_.sign_threshold || decided_ != SolverStatus::kNumericalIssue) {
-      return;
-    }
-    const double thr_score = sign_ * *opt_.sign_threshold;
-    if (has_incumbent_ && incumbent_score_ >= thr_score) {
-      decided_ = SolverStatus::kEarlyPositive;
-      stop_ = true;
-    } else if (limit_hit_ == SolverStatus::kNumericalIssue &&
-               global_bound_score_locked() < thr_score && active_ == 0 &&
-               nodes_ > 0) {
-      // The bound only proves a negative when no limit dropped a subtree.
-      decided_ = SolverStatus::kEarlyNegative;
-      stop_ = true;
-    }
-  }
-
-  lp::Model base_;
-  MilpOptions opt_;
-  double sign_ = 1.0;
-  std::vector<int> int_cols_;
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  struct NodeCmp {
-    bool operator()(const std::pair<double, Node>& a,
-                    const std::pair<double, Node>& b) const {
-      return a.first < b.first;
-    }
-  };
-  std::priority_queue<std::pair<double, Node>,
-                      std::vector<std::pair<double, Node>>, NodeCmp>
-      frontier_;
-  std::multiset<double> inflight_;
-  int active_ = 0;
-  bool stop_ = false;
-  std::vector<double> incumbent_;
-  double incumbent_score_ = -kInfD;
-  bool has_incumbent_ = false;
-  SolverStatus decided_ = SolverStatus::kNumericalIssue;   // early-exit
-  SolverStatus limit_hit_ = SolverStatus::kNumericalIssue;  // limits
-  std::int64_t nodes_ = 0;
-  std::int64_t lp_iterations_ = 0;
-  std::int64_t lp_solves_ = 0;
-  std::int64_t inc_updates_ = 0;
-  Timer timer_;
-};
-
 }  // namespace
 
 MilpSolution solve_milp(const lp::Model& model, const MilpOptions& options) {
   obs::TraceSpan span("milp.solve");
   MilpMetrics::get().solves.add(1);
-  if (options.num_workers > 1 && model.has_integers()) {
-    ParallelBranchAndBound bb(model, options);
-    return bb.run();
-  }
   BranchAndBound bb(model, options);
   return bb.run();
 }

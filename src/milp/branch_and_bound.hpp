@@ -56,13 +56,6 @@ struct MilpOptions {
   /// nodes shrink substantially).  Mutually exclusive with parent-basis
   /// warm starts at those nodes, which presolve's column remapping breaks.
   bool use_presolve = true;
-  /// Number of node-processing workers.  1 = the sequential search; > 1
-  /// runs a shared-frontier parallel branch and bound where each worker
-  /// owns a private model copy and the incumbent/bound bookkeeping is
-  /// mutex-guarded.  Node-processing order differs from the sequential
-  /// search, so node counts vary run to run, but the optimum (and every
-  /// sign-query verdict) is identical.
-  int num_workers = 1;
 
   /// When set: answer "is the optimum >= threshold?" (for maximization; or
   /// "<= threshold" for minimization) and stop as soon as the answer is
@@ -77,8 +70,8 @@ struct MilpOptions {
   /// the root node LP warm-starts from handle->positions (e.g. the optimal
   /// root basis of the previous binary-search round's patched model) and
   /// the new optimal root basis is written back.  Child nodes keep the
-  /// parent-basis warm starts they already had.  Ignored by the parallel
-  /// search (num_workers > 1), whose write-back order would race.
+  /// parent-basis warm starts they already had.  A handle of the wrong
+  /// length is ignored as a hint (the root cold-starts) and overwritten.
   lp::WarmStart* root_warm = nullptr;
 };
 

@@ -68,8 +68,6 @@ AuditLog& AuditLog::global() {
   return *log;
 }
 
-#if CUBISG_OBS_ENABLED
-
 std::int64_t AuditLog::record(AuditRecord record) {
   std::lock_guard<std::mutex> lock(mutex_);
   record.id = ++total_;
@@ -82,12 +80,6 @@ std::int64_t AuditLog::record(AuditRecord record) {
   }
   return id;
 }
-
-#else  // !CUBISG_OBS_ENABLED — recording compiles out entirely.
-
-std::int64_t AuditLog::record(AuditRecord /*record*/) { return 0; }
-
-#endif  // CUBISG_OBS_ENABLED
 
 std::vector<AuditRecord> AuditLog::recent() const {
   std::lock_guard<std::mutex> lock(mutex_);

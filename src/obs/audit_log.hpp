@@ -10,16 +10,13 @@
 // Unlike the slow-solve flight recorder there is no arming step: audits
 // only run when explicitly requested (--audit-sample / verify), failures
 // are rare and always worth keeping, and recording is one mutex
-// acquisition per *failed* audit.  With CUBISG_OBS=OFF record() is a
-// no-op, mirroring the rest of the forensic rings.
+// acquisition per *failed* audit.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "obs/metrics.hpp"  // CUBISG_OBS_ENABLED
 
 namespace cubisg::obs {
 
@@ -50,7 +47,6 @@ class AuditLog {
   static AuditLog& global();
 
   /// Stores the record (evicting the oldest when full); returns its id.
-  /// No-op returning 0 when observability is compiled out.
   std::int64_t record(AuditRecord record);
 
   /// The retained records, oldest first.

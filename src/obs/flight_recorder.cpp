@@ -87,8 +87,6 @@ FlightRecorder& FlightRecorder::global() {
   return *recorder;
 }
 
-#if CUBISG_OBS_ENABLED
-
 void FlightRecorder::arm(double slo_seconds) {
   slo_seconds_.store(slo_seconds, std::memory_order_relaxed);
   armed_.store(true, std::memory_order_relaxed);
@@ -121,16 +119,6 @@ std::int64_t FlightRecorder::record(FlightEntry entry) {
   }
   return id;
 }
-
-#else  // !CUBISG_OBS_ENABLED — recording compiles out entirely.
-
-void FlightRecorder::arm(double /*slo_seconds*/) {}
-void FlightRecorder::disarm() {}
-bool FlightRecorder::armed() const { return false; }
-double FlightRecorder::slo_seconds() const { return 0.0; }
-std::int64_t FlightRecorder::record(FlightEntry /*entry*/) { return 0; }
-
-#endif  // CUBISG_OBS_ENABLED
 
 std::vector<FlightEntry> FlightRecorder::recent() const {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -12,10 +12,7 @@
 //
 // Arming the recorder also turns on trace phase accounting so the
 // breakdown is available; disarming turns it back off.  Everything is
-// off-hot-path (one mutex acquisition per *slow* solve), and with
-// CUBISG_OBS=OFF the recording internals compile out: armed() is
-// constant-false and record() is a no-op, so no flight-recorder state
-// exists in the binary.
+// off-hot-path (one mutex acquisition per *slow* solve).
 #pragma once
 
 #include <atomic>
@@ -24,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"  // CUBISG_OBS_ENABLED
 #include "obs/solve_report.hpp"
 #include "obs/trace.hpp"  // PhaseTotal
 
@@ -76,8 +72,7 @@ class FlightRecorder {
   double slo_seconds() const;
 
   /// Stores the entry (evicting the oldest when full); returns its id.
-  /// No-op returning 0 when the recorder is not armed or observability
-  /// is compiled out.
+  /// No-op returning 0 when the recorder is not armed.
   std::int64_t record(FlightEntry entry);
 
   /// The retained entries, oldest first.

@@ -2,7 +2,7 @@
 
 #include "obs/metrics.hpp"
 
-#if CUBISG_OBS_ENABLED && (defined(__unix__) || defined(__APPLE__))
+#if defined(__unix__) || defined(__APPLE__)
 #define CUBISG_HTTP_EXPORTER 1
 #else
 #define CUBISG_HTTP_EXPORTER 0
@@ -48,7 +48,6 @@ std::string build_info_exposition() {
   out += "git_sha=\"" + prometheus_escape_label(buildinfo::kGitSha) + "\",";
   out += "compiler=\"" +
          prometheus_escape_label(buildinfo::kCompiler) + "\",";
-  out += "obs=\"" + prometheus_escape_label(buildinfo::kObsEnabled) + "\",";
   out += "fault_injection=\"" +
          prometheus_escape_label(buildinfo::kFaultInjection) + "\"";
   out += "} 1\n";
@@ -342,7 +341,7 @@ HttpExporter::HttpExporter() = default;
 HttpExporter::~HttpExporter() = default;
 
 bool HttpExporter::start(const HttpExporterOptions&) {
-  error_ = "http exporter unavailable (built with CUBISG_OBS=OFF)";
+  error_ = "http exporter unavailable (non-POSIX build)";
   return false;
 }
 

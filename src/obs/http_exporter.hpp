@@ -17,8 +17,8 @@
 // queue memory onto a solving process.  Every socket carries recv/send
 // timeouts, so a stalled client cannot wedge a handler.
 //
-// With CUBISG_OBS=OFF (or on non-POSIX targets) the server is compiled
-// out: http_exporter_available() is false and start() fails with an
+// On non-POSIX targets the server is compiled out:
+// http_exporter_available() is false and start() fails with an
 // explanatory last_error(), so callers need no #ifs.
 #pragma once
 
@@ -27,8 +27,8 @@
 
 namespace cubisg::obs {
 
-/// True when the server was compiled in (CUBISG_OBS=ON on a POSIX
-/// target); when false, start() always fails.
+/// True when the server was compiled in (POSIX target); when false,
+/// start() always fails.
 bool http_exporter_available();
 
 struct HttpExporterOptions {

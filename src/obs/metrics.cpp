@@ -91,7 +91,6 @@ std::vector<double> Histogram::latency_bounds_seconds() {
 }
 
 void Histogram::record(double v) {
-#if CUBISG_OBS_ENABLED
   if (!enabled()) return;
   const std::size_t bucket =
       static_cast<std::size_t>(std::upper_bound(bounds_.begin(),
@@ -101,9 +100,6 @@ void Histogram::record(double v) {
   s.counts[bucket].fetch_add(1, std::memory_order_relaxed);
   s.count.fetch_add(1, std::memory_order_relaxed);
   detail::atomic_add_double(s.sum, v);
-#else
-  (void)v;
-#endif
 }
 
 std::vector<std::int64_t> Histogram::bucket_counts() const {

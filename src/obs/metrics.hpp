@@ -8,10 +8,8 @@
 // mutex, so instrumentation sites cache the returned reference (function-
 // local static) and never touch the map again.
 //
-// Compile-time switch: build with CUBISG_OBS_ENABLED=0 (CMake option
-// CUBISG_OBS=OFF) and every recording call inlines to nothing.  Runtime
-// switch: obs::set_enabled(false) turns recording into a single relaxed
-// load.  Snapshot/JSON APIs exist in both modes so callers need no #ifs.
+// Runtime switch: obs::set_enabled(false) turns recording into a single
+// relaxed load.
 #pragma once
 
 #include <atomic>
@@ -19,10 +17,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#ifndef CUBISG_OBS_ENABLED
-#define CUBISG_OBS_ENABLED 1
-#endif
 
 namespace cubisg::obs {
 
@@ -59,13 +53,9 @@ inline void atomic_add_double(std::atomic<double>& a, double delta) {
 class Counter {
  public:
   void add(std::int64_t delta = 1) {
-#if CUBISG_OBS_ENABLED
     if (!enabled()) return;
     shards_[detail::shard_index()].value.fetch_add(
         delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
 
   /// Aggregated value (sums shards; racing writers may land just after).
@@ -84,20 +74,12 @@ class Counter {
 class Gauge {
  public:
   void set(double v) {
-#if CUBISG_OBS_ENABLED
     if (!enabled()) return;
     value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
   void add(double delta) {
-#if CUBISG_OBS_ENABLED
     if (!enabled()) return;
     detail::atomic_add_double(value_, delta);
-#else
-    (void)delta;
-#endif
   }
 
   double value() const { return value_.load(std::memory_order_relaxed); }

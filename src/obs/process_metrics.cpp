@@ -2,7 +2,7 @@
 
 #include "obs/metrics.hpp"
 
-#if CUBISG_OBS_ENABLED && (defined(__unix__) || defined(__APPLE__))
+#if defined(__unix__) || defined(__APPLE__)
 #define CUBISG_PROCESS_METRICS 1
 #else
 #define CUBISG_PROCESS_METRICS 0

@@ -15,7 +15,7 @@ bool process_metrics_available();
 
 /// Refreshes the process.* gauges in the global registry.  Cheap (a few
 /// syscalls + /proc reads); call at scrape/flush time, not per solve.
-/// No-op when observability is compiled out.
+/// No-op where process_metrics_available() is false.
 void update_process_metrics();
 
 }  // namespace cubisg::obs

@@ -9,8 +9,7 @@
 #include <mutex>
 #include <vector>
 
-#if CUBISG_OBS_ENABLED && defined(__linux__) && \
-    (defined(__x86_64__) || defined(__aarch64__))
+#if defined(__linux__) && (defined(__x86_64__) || defined(__aarch64__))
 #define CUBISG_PROFILER 1
 #else
 #define CUBISG_PROFILER 0
@@ -415,7 +414,7 @@ void profiler_stop() {}
 bool profiler_running() { return false; }
 
 std::string profiler_last_error() {
-  return "profiler compiled out (CUBISG_OBS=OFF or unsupported platform)";
+  return "profiler compiled out (unsupported platform)";
 }
 
 void profiler_register_this_thread() {}

@@ -5,7 +5,7 @@
 // so every thread is sampled on wall time — a worker blocked in a queue
 // pop is sampled just like one spinning in the simplex.  The signal
 // handler captures a frame-pointer backtrace (the build compiles with
-// -fno-omit-frame-pointer when CUBISG_OBS=ON) and pushes it into a
+// -fno-omit-frame-pointer) and pushes it into a
 // lock-free single-producer/single-consumer ring owned by that thread:
 // the handler is the only producer (it runs on the sampled thread), the
 // collector the only consumer.  No allocation, no locks, no non-reentrant
@@ -25,15 +25,14 @@
 // profiler_start() (and immediately for threads that register while
 // sampling is live).
 //
-// Compiled out with CUBISG_OBS=OFF (and on non-Linux or non-x86-64/
-// aarch64 hosts): profiler_available() returns false, every entry point
-// is a no-op stub, and none of the sampling machinery is in the binary.
+// Compiled out on non-Linux or non-x86-64/aarch64 hosts:
+// profiler_available() returns false, every entry point is a no-op stub,
+// and none of the sampling machinery is in the binary.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "obs/metrics.hpp"  // CUBISG_OBS_ENABLED
 
 namespace cubisg::obs {
 
@@ -68,16 +67,8 @@ void profiler_unregister_this_thread();
 /// RAII thread registration for worker loops.
 class ProfiledThreadScope {
  public:
-  ProfiledThreadScope() {
-#if CUBISG_OBS_ENABLED
-    profiler_register_this_thread();
-#endif
-  }
-  ~ProfiledThreadScope() {
-#if CUBISG_OBS_ENABLED
-    profiler_unregister_this_thread();
-#endif
-  }
+  ProfiledThreadScope() { profiler_register_this_thread(); }
+  ~ProfiledThreadScope() { profiler_unregister_this_thread(); }
   ProfiledThreadScope(const ProfiledThreadScope&) = delete;
   ProfiledThreadScope& operator=(const ProfiledThreadScope&) = delete;
 };

@@ -10,8 +10,7 @@
 //
 // Recording is once per solve (one mutex acquisition), far off any hot
 // path, so it stays active even when metric recording is disabled at
-// runtime; building with CUBISG_OBS=OFF compiles the feeding call sites
-// out along with the rest of the telemetry layer.
+// runtime.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -133,19 +134,10 @@ void set_current_trace_job(std::uint64_t job) { t_job = job; }
 
 void record_trace_event(const char* name, std::int64_t start_ns,
                         std::int64_t dur_ns, std::uint64_t job) {
-#if !CUBISG_OBS_ENABLED
-  // Keep OFF builds span-free even if tracing gets toggled on.
-  (void)name;
-  (void)start_ns;
-  (void)dur_ns;
-  (void)job;
-  return;
-#else
   if (!trace_enabled()) return;
   ThreadBuffer& buf = local_buffer();
   std::lock_guard<std::mutex> lock(buf.mutex);
   buf.events.push_back({name, start_ns, dur_ns, buf.tid, 0, job});
-#endif
 }
 
 namespace detail {

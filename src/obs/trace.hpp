@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"  // CUBISG_OBS_ENABLED
 
 namespace cubisg::obs {
 
@@ -72,25 +71,15 @@ void set_current_trace_job(std::uint64_t job);
 class TraceJobScope {
  public:
   explicit TraceJobScope(std::uint64_t job) {
-#if CUBISG_OBS_ENABLED
     prev_ = current_trace_job();
     set_current_trace_job(job);
-#else
-    (void)job;
-#endif
   }
-  ~TraceJobScope() {
-#if CUBISG_OBS_ENABLED
-    set_current_trace_job(prev_);
-#endif
-  }
+  ~TraceJobScope() { set_current_trace_job(prev_); }
   TraceJobScope(const TraceJobScope&) = delete;
   TraceJobScope& operator=(const TraceJobScope&) = delete;
 
  private:
-#if CUBISG_OBS_ENABLED
   std::uint64_t prev_ = 0;
-#endif
 };
 
 // ---- phase accounting --------------------------------------------------
@@ -125,31 +114,23 @@ void end_span(const char* name, std::int64_t start_ns, int depth);
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name) {
-#if CUBISG_OBS_ENABLED
     if (detail::span_capture_enabled()) {
       name_ = name;
       detail::begin_span(name_, start_ns_, depth_);
     }
-#else
-    (void)name;
-#endif
   }
 
   ~TraceSpan() {
-#if CUBISG_OBS_ENABLED
     if (name_ != nullptr) detail::end_span(name_, start_ns_, depth_);
-#endif
   }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-#if CUBISG_OBS_ENABLED
   const char* name_ = nullptr;  ///< null = inactive (tracing was off)
   std::int64_t start_ns_ = 0;
   int depth_ = 0;
-#endif
 };
 
 /// All completed events so far, across every thread (started-but-open

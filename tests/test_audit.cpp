@@ -216,9 +216,6 @@ TEST(FaultSites, CorruptCertificateSiteIsMalformed) {
 // ---- record_outcome: metrics + the /auditz ring ------------------------
 
 TEST(RecordOutcome, FailuresLandInMetricsAndAuditLog) {
-#if !CUBISG_OBS_ENABLED
-  GTEST_SKIP() << "metrics compiled out";
-#else
   obs::AuditLog::global().clear();
   Fixture fx = make_fixture(112);
   core::DefenderSolution sol = solve_with("cubis", fx);
@@ -253,13 +250,9 @@ TEST(RecordOutcome, FailuresLandInMetricsAndAuditLog) {
   EXPECT_EQ(records.back().worst_code, "worst-case-mismatch");
   EXPECT_GT(records.back().findings, 0);
   obs::AuditLog::global().clear();
-#endif
 }
 
 TEST(AuditLogRing, EvictsOldestAndKeepsTotals) {
-#if !CUBISG_OBS_ENABLED
-  GTEST_SKIP() << "audit log compiled out";
-#else
   obs::AuditLog log(3);
   for (int i = 0; i < 5; ++i) {
     obs::AuditRecord rec;
@@ -277,7 +270,6 @@ TEST(AuditLogRing, EvictsOldestAndKeepsTotals) {
   log.clear();
   EXPECT_EQ(log.size(), 0u);
   EXPECT_EQ(log.total_recorded(), 5);  // totals survive a clear
-#endif
 }
 
 // ---- the shadow auditor ------------------------------------------------
@@ -354,9 +346,7 @@ TEST(ShadowAuditor, ConcurrentEngineCompletionHook) {
 
 TEST(ShadowAuditor, DetectsInjectedCorruptionThroughTheEngine) {
   if (!faultinject::compiled_in()) GTEST_SKIP();
-#if CUBISG_OBS_ENABLED
   obs::AuditLog::global().clear();
-#endif
   Fixture fx = make_fixture(115);
   auto fx_sp = std::make_shared<Fixture>(std::move(fx));
   auto game_sp =
@@ -394,7 +384,6 @@ TEST(ShadowAuditor, DetectsInjectedCorruptionThroughTheEngine) {
   auditor.stop();
   EXPECT_EQ(auditor.audited(), 3u);
   EXPECT_EQ(auditor.failures(), 1u);
-#if CUBISG_OBS_ENABLED
   // The failure reached the /auditz ring with its typed verdict.
   const auto records = obs::AuditLog::global().recent();
   ASSERT_EQ(records.size(), 1u);
@@ -406,7 +395,6 @@ TEST(ShadowAuditor, DetectsInjectedCorruptionThroughTheEngine) {
   // The registry alias "cubis" resolves to the DP-backend solver.
   EXPECT_EQ(records.back().solver, "cubis-dp");
   obs::AuditLog::global().clear();
-#endif
 }
 
 }  // namespace

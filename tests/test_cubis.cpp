@@ -351,9 +351,6 @@ TEST(Cubis, MultisectionMatchesBisection) {
 }
 
 TEST(Cubis, SolvePublishesConvergenceReport) {
-#if !CUBISG_OBS_ENABLED
-  GTEST_SKIP() << "telemetry compiled out (CUBISG_OBS=OFF)";
-#endif
   obs::SolveReportBuffer& buffer = obs::SolveReportBuffer::global();
   const std::int64_t before = buffer.total_recorded();
   Fixture f(81, 6, 2.0, 1.0);

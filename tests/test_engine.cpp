@@ -322,9 +322,6 @@ TEST(Engine, NullSolverThrows) {
 // engine leaves an "engine.queue_wait" and an "engine.execute" event
 // tagged with its job id, mergeable across workers in one Chrome trace.
 TEST(Engine, TraceEventsKeyedByJobIdAcrossWorkers) {
-#if !CUBISG_OBS_ENABLED
-  GTEST_SKIP() << "tracing compiled out (CUBISG_OBS=OFF)";
-#else
   const Instance inst = make_instance(4001, 12, 4.0, 1.5);
   core::CubisOptions opt;
   opt.segments = 5;
@@ -375,16 +372,12 @@ TEST(Engine, TraceEventsKeyedByJobIdAcrossWorkers) {
     EXPECT_EQ(executes[id], 1) << "job " << id;
   }
   obs::clear_trace();
-#endif
 }
 
 // Flight recorder: with a 0-second SLO armed, every engine solve is
 // "slow" — entries carry the job id, worker, phase breakdown and the
 // solver's published report, and the slow-solve counter advances.
 TEST(Engine, FlightRecorderCapturesSlowSolves) {
-#if !CUBISG_OBS_ENABLED
-  GTEST_SKIP() << "flight recorder compiled out (CUBISG_OBS=OFF)";
-#else
   const Instance inst = make_instance(4002, 10, 3.0, 1.0);
   core::CubisOptions opt;
   opt.segments = 5;
@@ -423,7 +416,6 @@ TEST(Engine, FlightRecorderCapturesSlowSolves) {
   EXPECT_EQ(entry.report.solver, "cubis-dp");
   EXPECT_FALSE(entry.phases.empty());
   rec.clear();
-#endif
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include "games/generators.hpp"
 #include "lp/io.hpp"
 #include "lp/presolve.hpp"
-#include "milp/branch_and_bound.hpp"
 
 namespace cubisg {
 namespace {
@@ -55,41 +54,6 @@ TEST_P(FuzzTest, CubisBackendsAgreeOnTinyGames) {
     EXPECT_NEAR(a.worst_case_utility, b.worst_case_utility,
                 2.0 * scale / 5.0 + 0.2)
         << "trial " << trial;
-  }
-}
-
-TEST_P(FuzzTest, ParallelMilpMatchesSequentialOnRandomModels) {
-  Rng rng(GetParam().value ^ 0x10);
-  for (int trial = 0; trial < 6; ++trial) {
-    const int n = static_cast<int>(rng.uniform_int(3, 8));
-    lp::Model m;
-    m.set_objective_sense(rng.uniform() < 0.5 ? lp::Objective::kMinimize
-                                              : lp::Objective::kMaximize);
-    for (int j = 0; j < n; ++j) {
-      int col = m.add_col("b" + std::to_string(j), 0.0, 1.0,
-                          rng.uniform(-2.0, 2.0));
-      if (rng.uniform() < 0.7) m.set_integer(col);
-    }
-    for (int r = 0; r < 2; ++r) {
-      int row = m.add_row("r" + std::to_string(r),
-                          rng.uniform() < 0.5 ? lp::Sense::kLe
-                                              : lp::Sense::kGe,
-                          rng.uniform(-2.0, 3.0));
-      for (int j = 0; j < n; ++j) {
-        m.set_coeff(row, j, rng.uniform(-1.5, 1.5));
-      }
-    }
-    milp::MilpSolution seq = milp::solve_milp(m);
-    milp::MilpOptions popt;
-    popt.num_workers = 3;
-    milp::MilpSolution par = milp::solve_milp(m, popt);
-    ASSERT_EQ(seq.status == SolverStatus::kInfeasible,
-              par.status == SolverStatus::kInfeasible)
-        << "trial " << trial;
-    if (seq.optimal()) {
-      ASSERT_TRUE(par.optimal()) << trial << " " << to_string(par.status);
-      EXPECT_NEAR(seq.objective, par.objective, 1e-6) << "trial " << trial;
-    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include "common/rng.hpp"
 #include "lp/model.hpp"
 #include "milp/branch_and_bound.hpp"
+#include "obs/metrics.hpp"
 #include "brute_force.hpp"
 
 namespace cubisg::milp {
@@ -179,69 +180,74 @@ TEST(Milp, NodeLimitReported) {
   EXPECT_GE(s.best_bound, s.has_solution() ? s.objective : 0.0);
 }
 
-TEST(Milp, ParallelWorkersMatchSequentialOptimum) {
-  Rng rng(421);
-  for (int trial = 0; trial < 10; ++trial) {
-    const int n = static_cast<int>(rng.uniform_int(4, 10));
-    Model m;
-    m.set_objective_sense(Objective::kMaximize);
-    int r = m.add_row("cap", Sense::kLe, n / 2.5);
-    for (int j = 0; j < n; ++j) {
-      int col = m.add_col("b" + std::to_string(j), 0.0, 1.0,
-                          rng.uniform(0.5, 3.0));
-      m.set_integer(col);
-      m.set_coeff(r, col, rng.uniform(0.2, 1.0));
-    }
-    MilpSolution seq = solve_milp(m);
-    MilpOptions popt;
-    popt.num_workers = 4;
-    MilpSolution par = solve_milp(m, popt);
-    ASSERT_TRUE(seq.optimal()) << trial;
-    ASSERT_TRUE(par.optimal()) << trial << " " << to_string(par.status);
-    EXPECT_NEAR(seq.objective, par.objective, 1e-7) << "trial " << trial;
-    EXPECT_LE(m.max_violation(par.x), 1e-7);
-  }
-}
+// ---- cross-solve root basis (MilpOptions::root_warm) ---------------------
 
-TEST(Milp, ParallelSignQueriesAgree) {
-  Rng rng(422);
+Model knapsack4() {
   Model m;
   m.set_objective_sense(Objective::kMaximize);
-  int r = m.add_row("cap", Sense::kLe, 3.0);
-  for (int j = 0; j < 10; ++j) {
-    int col = m.add_col("b" + std::to_string(j), 0.0, 1.0,
-                        rng.uniform(0.5, 2.0));
+  int r = m.add_row("cap", Sense::kLe, 14.0);
+  const double value[] = {8, 11, 6, 4};
+  const double weight[] = {5, 7, 4, 3};
+  for (int j = 0; j < 4; ++j) {
+    int col = m.add_col("b" + std::to_string(j), 0.0, 1.0, value[j]);
     m.set_integer(col);
-    m.set_coeff(r, col, rng.uniform(0.3, 1.0));
+    m.set_coeff(r, col, weight[j]);
   }
-  MilpSolution base = solve_milp(m);
-  ASSERT_TRUE(base.optimal());
-  for (double delta : {-1.0, 1.0}) {
-    MilpOptions opt;
-    opt.num_workers = 3;
-    opt.sign_threshold = base.objective + delta;
-    MilpSolution s = solve_milp(m, opt);
-    if (delta < 0) {
-      EXPECT_EQ(s.status, SolverStatus::kEarlyPositive);
-      ASSERT_TRUE(s.has_solution());
-      EXPECT_GE(m.objective_value(s.x), *opt.sign_threshold - 1e-9);
-    } else {
-      EXPECT_EQ(s.status, SolverStatus::kEarlyNegative);
-    }
-  }
+  return m;
 }
 
-TEST(Milp, ParallelInfeasibleDetected) {
-  Model m;
-  const int x = m.add_col("x", 0.0, 1.0, 1.0);
-  m.set_integer(x);
-  int r0 = m.add_row("ge", Sense::kGe, 0.4);
-  m.set_coeff(r0, x, 1.0);
-  int r1 = m.add_row("le", Sense::kLe, 0.6);
-  m.set_coeff(r1, x, 1.0);
+/// Simplex solves that started from a warm basis hint, process-wide.
+std::int64_t simplex_warm_starts() {
+  return obs::Registry::global().counter("simplex.warm_starts_total").value();
+}
+
+void expect_bitwise_equal(const MilpSolution& a, const MilpSolution& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.x, b.x);
+}
+
+TEST(MilpRootWarm, FirstSolveWritesRootBasisBack) {
+  const Model m = knapsack4();
+  lp::WarmStart handle;
   MilpOptions opt;
-  opt.num_workers = 3;
-  EXPECT_EQ(solve_milp(m, opt).status, SolverStatus::kInfeasible);
+  opt.root_warm = &handle;
+  MilpSolution s = solve_milp(m, opt);
+  ASSERT_TRUE(s.optimal());
+  EXPECT_NEAR(s.objective, 21.0, 1e-8);
+  EXPECT_EQ(handle.positions.size(),
+            static_cast<std::size_t>(m.num_cols() + m.num_rows()));
+}
+
+TEST(MilpRootWarm, ResolveFromHandleIsBitwiseIdentical) {
+  const Model m = knapsack4();
+  lp::WarmStart handle;
+  MilpOptions opt;
+  opt.root_warm = &handle;
+  const MilpSolution first = solve_milp(m, opt);
+  ASSERT_FALSE(handle.empty());
+  const std::int64_t warm_before = simplex_warm_starts();
+  const MilpSolution again = solve_milp(m, opt);
+  // Only the root LP takes a warm hint (deeper nodes are presolved).
+  EXPECT_EQ(simplex_warm_starts() - warm_before, 1);
+  expect_bitwise_equal(again, first);
+}
+
+TEST(MilpRootWarm, WrongLengthHandleIsIgnored) {
+  const Model m = knapsack4();
+  const MilpSolution cold = solve_milp(m);
+  lp::WarmStart handle;
+  MilpOptions opt;
+  opt.root_warm = &handle;
+  solve_milp(m, opt);
+  handle.positions.pop_back();
+  const std::int64_t warm_before = simplex_warm_starts();
+  const MilpSolution s = solve_milp(m, opt);
+  EXPECT_EQ(simplex_warm_starts() - warm_before, 0);
+  expect_bitwise_equal(s, cold);
+  // The handle is rewritten with the new root basis.
+  EXPECT_EQ(handle.positions.size(),
+            static_cast<std::size_t>(m.num_cols() + m.num_rows()));
 }
 
 // ---- randomized cross-check against exhaustive enumeration ---------------

@@ -27,17 +27,7 @@
 namespace cubisg {
 namespace {
 
-// With -DCUBISG_OBS=OFF recording compiles out (values stay 0); the API
-// surface still has to build and run, so only value assertions skip.
-#define CUBISG_SKIP_IF_OBS_COMPILED_OUT()                            \
-  do {                                                               \
-    if (!CUBISG_OBS_ENABLED) {                                       \
-      GTEST_SKIP() << "telemetry compiled out (CUBISG_OBS=OFF)";     \
-    }                                                                \
-  } while (0)
-
 TEST(Metrics, CounterExactUnderConcurrency) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::Counter& c =
       obs::Registry::global().counter("test.concurrent_counter");
   c.reset();
@@ -57,7 +47,6 @@ TEST(Metrics, CounterExactUnderConcurrency) {
 }
 
 TEST(Metrics, CounterRuntimeDisableIsNoOp) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::Counter& c = obs::Registry::global().counter("test.disabled_counter");
   c.reset();
   obs::set_enabled(false);
@@ -69,7 +58,6 @@ TEST(Metrics, CounterRuntimeDisableIsNoOp) {
 }
 
 TEST(Metrics, GaugeSetAndAdd) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::Gauge& g = obs::Registry::global().gauge("test.gauge");
   g.reset();
   g.set(3.5);
@@ -79,7 +67,6 @@ TEST(Metrics, GaugeSetAndAdd) {
 }
 
 TEST(Metrics, HistogramBucketsCountAndSum) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::Histogram& h = obs::Registry::global().histogram(
       "test.histogram", std::vector<double>{1.0, 10.0, 100.0});
   h.reset();
@@ -95,7 +82,6 @@ TEST(Metrics, HistogramBucketsCountAndSum) {
 }
 
 TEST(Metrics, SnapshotDeltaSinceBaseline) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::Counter& c = obs::Registry::global().counter("test.delta_counter");
   c.reset();
   c.add(3);
@@ -108,7 +94,6 @@ TEST(Metrics, SnapshotDeltaSinceBaseline) {
 }
 
 TEST(Metrics, SolveScopeCapturesOnlyItsWindow) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::Counter& c = obs::Registry::global().counter("test.scope_counter");
   c.reset();
   c.add(100);
@@ -123,7 +108,6 @@ TEST(Metrics, SolveScopeCapturesOnlyItsWindow) {
 }
 
 TEST(Metrics, JsonContainsAllThreeKinds) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::Registry::global().counter("test.json_counter").add(2);
   obs::Registry::global().gauge("test.json_gauge").set(1.5);
   obs::Registry::global().histogram("test.json_histogram").record(0.5);
@@ -168,7 +152,6 @@ TEST(Metrics, CrossKindReRegistrationThrows) {
 }
 
 TEST(Trace, NestedSpansRecordDepthAndContainment) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::set_trace_enabled(true);
   obs::clear_trace();
   {
@@ -207,7 +190,6 @@ TEST(Trace, DisabledSpansRecordNothing) {
 }
 
 TEST(Trace, ChromeJsonRoundTrip) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::set_trace_enabled(true);
   obs::clear_trace();
   {
@@ -236,7 +218,6 @@ TEST(Trace, ChromeJsonRoundTrip) {
 }
 
 TEST(ThreadPoolTelemetry, TasksFeedLatencyHistogramAndCounter) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   const std::int64_t before =
       obs::Registry::global().counter("threadpool.tasks_total").value();
   const std::int64_t hist_before = obs::Registry::global()
@@ -260,7 +241,6 @@ TEST(ThreadPoolTelemetry, TasksFeedLatencyHistogramAndCounter) {
 }
 
 TEST(Log, EmitFeedsLevelCounter) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   const LogLevel saved = log_level();
   set_log_sink([](LogLevel, const std::string&) {});  // silence stderr
   set_log_level(LogLevel::kInfo);
@@ -397,7 +377,6 @@ TEST(SolveReportBuffer, ConcurrentAddsKeepRingConsistent) {
 }
 
 TEST(Trace, JobScopeTagsSpansAndManualEvents) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::set_trace_enabled(true);
   obs::clear_trace();
   EXPECT_EQ(obs::current_trace_job(), 0u);
@@ -436,7 +415,6 @@ TEST(Trace, JobScopeTagsSpansAndManualEvents) {
 // events must carry its job id, and per-thread completion timestamps must
 // be monotonic.  TSAN judges the buffer/export synchronization.
 TEST(Trace, ConcurrentSpansExportValidChromeJson) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::set_trace_enabled(true);
   obs::clear_trace();
   constexpr int kThreads = 6;
@@ -506,7 +484,6 @@ TEST(Trace, ConcurrentSpansExportValidChromeJson) {
 }
 
 TEST(Trace, PhaseAccountingAccumulatesPerName) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::set_phase_accounting_enabled(true);
   obs::begin_phase_accounting();
   for (int i = 0; i < 3; ++i) {
@@ -630,7 +607,6 @@ TEST(Profiler, SamplesRegisteredWorkerThreads) {
 }
 
 TEST(FlightRecorder, RecordsOnlyWhenArmedAndEvictsOldest) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::FlightRecorder rec(4);
   obs::FlightEntry e;
   e.tag = "disarmed";
@@ -663,7 +639,6 @@ TEST(FlightRecorder, RecordsOnlyWhenArmedAndEvictsOldest) {
 }
 
 TEST(FlightRecorder, ArmTogglesPhaseAccounting) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::FlightRecorder rec(2);
   EXPECT_FALSE(obs::phase_accounting_enabled());
   rec.arm(1.0);
@@ -673,7 +648,6 @@ TEST(FlightRecorder, ArmTogglesPhaseAccounting) {
 }
 
 TEST(FlightRecorder, JsonCarriesForensicFields) {
-  CUBISG_SKIP_IF_OBS_COMPILED_OUT();
   obs::FlightRecorder rec(8);
   rec.arm(0.1);
   obs::FlightEntry e;

@@ -3,8 +3,7 @@
 // `+Inf` bucket == `_count` invariant, and `promtool check metrics`-style
 // lint rules encoded as assertions.
 //
-// The serializer is pure (reads a MetricsSnapshot aggregate), so these
-// tests run even when CUBISG_OBS=OFF compiles metric *recording* out —
+// The serializer is pure (reads a MetricsSnapshot aggregate), so the
 // snapshots here are built by hand, not recorded.
 #include <cctype>
 #include <cstdint>
@@ -288,8 +287,7 @@ TEST(Prometheus, EmptySnapshotIsEmptyText) {
 
 // Satellite lint: the metric families added by the profiler/flight-
 // recorder PR — process self-metrics, the engine queue-wait histogram,
-// the slow-solve counter — must serialize promtool-clean.  Hand-built
-// snapshot so the check runs fully with CUBISG_OBS=OFF too.
+// the slow-solve counter — must serialize promtool-clean.
 TEST(Prometheus, NewObservabilityFamiliesLintClean) {
   obs::MetricsSnapshot snap;
   snap.gauges.push_back({"process.resident_memory_bytes", 1.5e8});
@@ -332,7 +330,7 @@ TEST(Prometheus, NewObservabilityFamiliesLintClean) {
 // Satellite lint: the audit.* families added by the certificate/verifier
 // PR must serialize promtool-clean too — counters keep a single _total,
 // the residual gauge and verify-latency histogram obey the bucket
-// invariants.  Hand-built snapshot so the check runs with CUBISG_OBS=OFF.
+// invariants.
 TEST(Prometheus, AuditFamiliesLintClean) {
   obs::MetricsSnapshot snap;
   snap.counters.push_back({"audit.checks_total", 128});
@@ -368,9 +366,6 @@ TEST(Prometheus, AuditFamiliesLintClean) {
 }
 
 TEST(Prometheus, LiveRegistrySnapshotLints) {
-#if !CUBISG_OBS_ENABLED
-  GTEST_SKIP() << "telemetry compiled out (CUBISG_OBS=OFF)";
-#endif
   obs::Registry::global().counter("promtest.events").add(4);
   obs::Registry::global().gauge("promtest.depth").set(2.5);
   obs::Registry::global()

@@ -304,16 +304,6 @@ TEST(MilpFault, InjectedDeadlineAtNodeCheckpoint) {
   EXPECT_EQ(s.status, SolverStatus::kDeadlineExceeded);
 }
 
-TEST(MilpFault, ParallelWorkersAgreeOnInjectedDeadline) {
-  if (!faultinject::compiled_in()) GTEST_SKIP() << "compiled out";
-  FaultGuard guard;
-  faultinject::arm(faultinject::Site::kMilpDeadline, -1);
-  milp::MilpOptions opt;
-  opt.num_workers = 4;
-  milp::MilpSolution s = milp::solve_milp(knapsack_milp(), opt);
-  EXPECT_EQ(s.status, SolverStatus::kDeadlineExceeded);
-}
-
 // ---- CUBIS: graceful degradation ---------------------------------------
 
 TEST(CubisBudget, ExpiredDeadlineReturnsIncumbentAndBracket) {

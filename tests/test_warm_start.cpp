@@ -310,7 +310,6 @@ TEST(WarmStartFault, SolveSurvivesWarmRejectMidSearch) {
 
 // ---- telemetry: the caches actually engage -------------------------------
 
-#if CUBISG_OBS_ENABLED
 TEST(WarmStartTelemetry, ReuseSkipsPerRoundFunctionBuilds) {
   Fixture f(81, 8, 3.0, 1.5);
   CubisOptions opt;
@@ -349,7 +348,6 @@ TEST(WarmStartTelemetry, MilpReusePatchesAndWarmStarts) {
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(cold.telemetry.counter("milp.model_patches_total"), 0);
 }
-#endif  // CUBISG_OBS_ENABLED
 
 }  // namespace
 }  // namespace cubisg::core

@@ -47,12 +47,10 @@ inline void expect_warm_matches_fresh_bitwise(const core::SolveContext& ctx,
     EXPECT_EQ(wr[r].feasible, fr[r].feasible) << tag << " round " << r;
     EXPECT_EQ(wr[r].infeasible, fr[r].infeasible) << tag << " round " << r;
   }
-#if CUBISG_OBS_ENABLED
   // Warm rounds rebuild flat tables only; the fresh path builds f1 and
   // f2 per target per round.
   EXPECT_EQ(warm.telemetry.counter("piecewise.functions_built"), 0) << tag;
   EXPECT_GT(fresh.telemetry.counter("piecewise.functions_built"), 0) << tag;
-#endif
 }
 
 }  // namespace cubisg::testing
