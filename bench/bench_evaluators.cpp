@@ -14,7 +14,7 @@
 #include "common/timer.hpp"
 #include "core/worst_case.hpp"
 #include "games/generators.hpp"
-#include "games/strategy_space.hpp"
+#include "games/coverage_space.hpp"
 #include "bench_util.hpp"
 
 int main() {
@@ -34,7 +34,8 @@ int main() {
     for (int p = 0; p < kPoints; ++p) {
       std::vector<double> raw(t);
       for (auto& v : raw) v = rng.uniform(0.0, 1.0);
-      xs.push_back(games::project_to_simplex_box(raw, 0.3 * t));
+      xs.push_back(
+          games::CoverageSpace::simplex(raw.size(), 0.3 * t).project(raw));
     }
 
     double d_lp = 0.0, d_root = 0.0;

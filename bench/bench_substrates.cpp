@@ -11,7 +11,7 @@
 #include "core/step_solver.hpp"
 #include "core/worst_case.hpp"
 #include "games/generators.hpp"
-#include "games/strategy_space.hpp"
+#include "games/coverage_space.hpp"
 #include "linalg/lu.hpp"
 #include "lp/model.hpp"
 #include "lp/presolve.hpp"
@@ -139,7 +139,8 @@ struct WorstCaseFixture {
   explicit WorstCaseFixture(std::size_t t)
       : ug(make_game(t)),
         bounds(behavior::SuqrWeightIntervals{}, ug.attacker_intervals),
-        x(games::uniform_strategy(t, 0.3 * static_cast<double>(t))) {}
+        x(games::CoverageSpace::simplex(t, 0.3 * static_cast<double>(t))
+              .uniform_seed()) {}
   static games::UncertainGame make_game(std::size_t t) {
     Rng rng(4);
     return games::random_uncertain_game(rng, t, 0.3 * t, 2.0);

@@ -35,13 +35,14 @@ int main() {
 
   behavior::SuqrIntervalBounds bounds(behavior::SuqrWeightIntervals{},
                                       sched.flattened.attacker_intervals);
+  // Per-day budgets: the solve runs over the schedule's grouped polytope.
+  const games::CoverageSpace days = sched.coverage_space();
   core::SolveContext ctx{sched.flattened.game, bounds};
+  ctx.space = &days;
 
   core::CubisOptions opt;
   opt.segments = 20;
   opt.epsilon = 1e-3;
-  opt.target_groups = sched.target_groups();
-  opt.group_budgets = sched.group_budgets();
   core::DefenderSolution robust = core::CubisSolver(opt).solve(ctx);
 
   std::printf("Robust weekly schedule (%zu locations x %zu days, "

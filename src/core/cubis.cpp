@@ -4,7 +4,6 @@
 #include <cmath>
 #include <new>
 #include <numeric>
-#include <stdexcept>
 #include <string>
 
 #include "common/fault_inject.hpp"
@@ -13,7 +12,6 @@
 #include "core/gradient.hpp"
 #include "core/round_cache.hpp"
 #include "core/workspace.hpp"
-#include "games/strategy_space.hpp"
 #include "obs/metrics.hpp"
 #include "obs/solve_report.hpp"
 #include "obs/trace.hpp"
@@ -41,28 +39,6 @@ struct CubisMetrics {
     return m;
   }
 };
-
-/// Resolves the coverage polytope a step optimizes over.  An explicit
-/// SolveContext::space wins; the legacy CubisOptions group fields are an
-/// instance of the grouped family; the default is the paper's simplex.
-/// The simplex instance routes every caller onto the legacy byte-for-byte
-/// arithmetic via is_simplex().
-games::CoverageSpace step_space(const SolveContext& ctx,
-                                const CubisOptions& opt) {
-  if (ctx.space != nullptr && !ctx.space->is_default()) {
-    return effective_space(ctx);
-  }
-  if (!opt.group_budgets.empty()) {
-    try {
-      return games::CoverageSpace::grouped(opt.target_groups,
-                                           opt.group_budgets);
-    } catch (const std::invalid_argument& e) {
-      throw InvalidModelError(std::string("cubis: ") + e.what());
-    }
-  }
-  return games::CoverageSpace::simplex(ctx.game.num_targets(),
-                                       ctx.game.resources());
-}
 
 std::vector<TargetPls> build_f_pls(const SolveContext& ctx, double c,
                                    std::size_t segments,
@@ -176,8 +152,8 @@ StepResult solve_step_milp(const SolveContext& ctx,
                            const CubisOptions& opt,
                            const games::CoverageSpace& space) {
   MilpLayout layout;
-  lp::Model model = build_step_milp(ctx, pls, step_big_m(pls), opt, layout,
-                                    /*dense=*/false, nullptr, &space);
+  lp::Model model =
+      build_step_milp(ctx, pls, step_big_m(pls), space, layout);
   // One (34)-(36) big-M block per target.
   CubisMetrics::get().bigm_linearizations.add(
       static_cast<std::int64_t>(layout.t_count));
@@ -201,11 +177,12 @@ StepResult solve_step_milp(const SolveContext& ctx,
 /// the previous round's optimal root basis into the next root relaxation.
 StepResult solve_step_milp_cached(const SolveContext& ctx,
                                   const CubisOptions& opt,
+                                  const games::CoverageSpace& space,
                                   RoundReuse& reuse) {
   if (reuse.milp == nullptr) {
     // First round: assembly doubles as the patch (the cache already holds
     // this round's values).
-    reuse.milp = std::make_unique<MilpStepCache>(ctx, reuse.cache, opt);
+    reuse.milp = std::make_unique<MilpStepCache>(ctx, reuse.cache, space);
   } else {
     reuse.milp->patch(reuse.cache);
   }
@@ -218,9 +195,9 @@ StepResult solve_step_milp_cached(const SolveContext& ctx,
   mopt.sign_threshold = -opt.feasibility_slack;
   if (mopt.budget == nullptr) mopt.budget = ctx.budget;
   if (opt.warm_start_from_dp) {
-    StepResult dp = solve_step_dp_flat(
-        reuse.cache.phi_flat().data(), reuse.cache.t_count(), layout.k_count,
-        ctx.game.resources(), reuse.dp_scratch);
+    StepResult dp = step_dp(ctx, space, reuse.cache.phi_flat().data(),
+                            reuse.cache.t_count(), layout.k_count,
+                            reuse.dp_scratch);
     mopt.warm_start = milp_point_from_x(layout, reuse.cache.pls(), dp.x,
                                         cache.model().num_cols());
   }
@@ -323,11 +300,9 @@ StepResult cubis_step(const SolveContext& ctx, double c,
     forced.status = SolverStatus::kInfeasible;
     return forced;
   }
-  const games::CoverageSpace space = step_space(ctx, options);
+  const games::CoverageSpace space = effective_space(ctx);
   const bool dp_backend = options.backend == StepBackend::kDp;
-  // The MILP skeleton's budget rows are never patched, so its lane serves
-  // the simplex only; the DP lane serves every polytope.
-  if (reuse != nullptr && (dp_backend || space.is_simplex())) {
+  if (reuse != nullptr) {
     if (reuse->cache.k_count() != options.segments) {
       throw InvalidModelError("cubis_step: reuse segment-count mismatch");
     }
@@ -337,7 +312,7 @@ StepResult cubis_step(const SolveContext& ctx, double c,
                      reuse->cache.t_count(), options.segments,
                      reuse->dp_scratch);
     }
-    return solve_step_milp_cached(ctx, options, *reuse);
+    return solve_step_milp_cached(ctx, options, space, *reuse);
   }
   const std::vector<TargetPls> pls =
       build_f_pls(ctx, c, options.segments, tables);
@@ -369,27 +344,9 @@ DefenderSolution CubisSolver::solve(const SolveContext& ctx) const {
   obs::TraceSpan span("cubis.solve");
   CubisMetrics::get().solves.add(1);
   const std::size_t n = ctx.game.num_targets();
-  if (!opt_.group_budgets.empty()) {
-    if (opt_.target_groups.size() != n) {
-      throw InvalidModelError(
-          "CubisSolver: target_groups must cover every target");
-    }
-    double total = 0.0;
-    for (double b : opt_.group_budgets) {
-      if (!(b >= 0.0)) {
-        throw InvalidModelError("CubisSolver: negative group budget");
-      }
-      total += b;
-    }
-    if (std::abs(total - ctx.game.resources()) > 1e-9) {
-      throw InvalidModelError(
-          "CubisSolver: group budgets must sum to the game's resources");
-    }
-  }
-  // The coverage polytope this solve optimizes over; the paper's simplex
-  // unless the caller supplied a SolveContext::space or the legacy
-  // CubisOptions group fields (now one instance of the grouped family).
-  const games::CoverageSpace space = step_space(ctx, opt_);
+  // The coverage polytope this solve optimizes over: SolveContext::space,
+  // or the paper's simplex when the caller supplied none.
+  const games::CoverageSpace space = effective_space(ctx);
   DefenderSolution sol;
 
   double lo = ctx.game.min_defender_penalty();
@@ -434,21 +391,21 @@ DefenderSolution CubisSolver::solve(const SolveContext& ctx) const {
   ws.tables_token = 1;
   const StepTables& tables = ws.tables;
   // One cross-round reuse slot per multisection lane (never shared across
-  // lanes: set_value and the DP scratch mutate in place).  The flat DP
-  // serves every polytope; the MILP backend keeps the fresh path off the
-  // simplex, because its skeleton's budget rows are never patched.
-  const bool use_lanes =
-      opt_.reuse_rounds &&
-      (space.is_simplex() || opt_.backend == StepBackend::kDp);
+  // lanes: set_value and the DP scratch mutate in place).  Both backends
+  // serve every polytope: the step MILP's budget and cap rows do not
+  // depend on c, so its skeleton is built once per lane like the DP's
+  // breakpoint cache.
+  const bool use_lanes = opt_.reuse_rounds;
   if (use_lanes) {
     ws.ensure_cubis_lanes(static_cast<std::size_t>(sections), tables,
                           opt_.backend == StepBackend::kMilp);
     // Skeleton transplant (kMilp): the dense skeleton's structure depends
-    // only on (T, K, R) — all compat-checked — and solve_step_milp_cached
-    // patches every value-dependent entry before first use, so adopting
-    // the donor's copy is bitwise-safe.  The donor's root basis is never
-    // carried (see TransplantDonor), so the first round's relaxation
-    // cold-starts exactly like a fresh solve.
+    // only on (T, K, R) and the polytope's budget and cap rows — all
+    // checked below — and solve_step_milp_cached patches every
+    // value-dependent entry before first use, so adopting the donor's
+    // copy is bitwise-safe.  The donor's root basis is never carried (see
+    // TransplantDonor), so the first round's relaxation cold-starts
+    // exactly like a fresh solve.
     if (seed != nullptr && !ws.transplant_stats.rejected &&
         opt_.backend == StepBackend::kMilp && seed->donor != nullptr &&
         seed->donor->has_skeleton &&
@@ -623,16 +580,9 @@ DefenderSolution CubisSolver::solve(const SolveContext& ctx) const {
     }
   }
 
-  // Polish is allowed when the ascent's projection matches this solve's
-  // polytope: always on the simplex, and on any space announced through
-  // SolveContext::space (local_ascent projects via effective_space).  The
-  // legacy options-only grouped config is invisible to the gradient, so
-  // polish stays off there.
-  const bool polish_feasible =
-      space.is_simplex() ||
-      (ctx.space != nullptr && !ctx.space->is_default());
-  if (final_status == SolverStatus::kOptimal && opt_.polish_iterations > 0 &&
-      polish_feasible) {
+  // local_ascent projects onto effective_space(ctx), the same polytope
+  // this solve optimized over.
+  if (final_status == SolverStatus::kOptimal && opt_.polish_iterations > 0) {
     // (After a budget trip or failure polish is skipped: the caller asked
     // to stop, and top-up already salvaged the cheap improvement.)
     obs::TraceSpan polish_span("cubis.polish");

@@ -59,9 +59,9 @@ struct CubisOptions {
   /// MILP's constraint skeleton (patched, not rebuilt), and the previous
   /// round's optimal root basis as a simplex warm start.  Produces the
   /// same solution as the fresh path (the differential harness in
-  /// tests/test_warm_start.cpp pins this).  The DP backend reuses rounds
-  /// on every coverage polytope; the MILP backend only on the simplex.
-  /// Off = rebuild everything per round (the test oracle).
+  /// tests/test_warm_start.cpp pins this).  Both backends reuse rounds on
+  /// every coverage polytope (SolveContext::space).  Off = rebuild
+  /// everything per round (the test oracle).
   bool reuse_rounds = true;
   /// Beyond-the-paper extension: multisection search.  Each round
   /// evaluates this many candidate utility values concurrently (thread
@@ -71,15 +71,6 @@ struct CubisOptions {
   /// the OUTER loop that bisection serializes.
   int parallel_sections = 1;
   ThreadPool* pool = nullptr;  ///< null = global pool
-  /// Beyond-the-paper extension for scheduled patrols: partition the
-  /// targets into budget groups (e.g. time slots), each with its own
-  /// knapsack constraint sum_{i in g} x_i <= group_budgets[g].  The step
-  /// problems stay separable, so the DP backend solves one DP per group.
-  /// Empty = the paper's single game-wide budget.  When set,
-  /// target_groups.size() must equal the game's target count and the
-  /// budgets must sum to the game's resources.
-  std::vector<std::size_t> target_groups;
-  std::vector<double> group_budgets;
 };
 
 /// The CUBIS solver.

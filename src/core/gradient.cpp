@@ -17,8 +17,8 @@ namespace cubisg::core {
 namespace {
 
 /// One projected-gradient ascent run from `x0`; returns the best iterate.
-/// Trial steps are projected onto `space`; the simplex instance delegates
-/// to the legacy project_to_simplex_box arithmetic bit-for-bit.
+/// Trial steps are projected onto `space`; the simplex instance keeps the
+/// legacy single-budget projection arithmetic bit-for-bit.
 std::pair<std::vector<double>, double> ascend(
     const std::function<double(const std::vector<double>&)>& w_of,
     const games::CoverageSpace& space, const GradientOptions& opt,

@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "common/timer.hpp"
-#include "games/strategy_space.hpp"
+#include "games/coverage_space.hpp"
 
 namespace cubisg::core {
 
@@ -19,20 +19,22 @@ DefenderSolution maximize_over_strategies(
   const std::size_t n = ctx.game.num_targets();
   const double resources = ctx.game.resources();
 
+  const games::CoverageSpace space =
+      games::CoverageSpace::simplex(n, resources);
   std::vector<std::vector<double>> starts;
-  starts.push_back(games::uniform_strategy(n, resources));
+  starts.push_back(space.uniform_seed());
   {
     std::vector<double> penalties(n);
     for (std::size_t i = 0; i < n; ++i) {
       penalties[i] = ctx.game.target(i).defender_penalty;
     }
-    starts.push_back(games::greedy_by_penalty(penalties, resources));
+    starts.push_back(space.greedy_seed(penalties));
   }
   Rng rng(ascent.seed);
   while (starts.size() < static_cast<std::size_t>(ascent.num_starts) + 2) {
     std::vector<double> x(n);
     for (double& xi : x) xi = rng.uniform();
-    starts.push_back(games::project_to_simplex_box(x, resources));
+    starts.push_back(space.project(x));
   }
 
   DefenderSolution sol;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 
 #include "core/adaptive.hpp"
 #include "core/cubis.hpp"
@@ -32,22 +31,10 @@ std::string canonical_solver_config(const SolverSpec& spec) {
                 spec.population != nullptr ? spec.population->num_types()
                                            : std::size_t{0});
   // Coverage-polytope identity: the canonical descriptor (lossless %a
-  // budgets/caps), or the one derived from the legacy grouped-budget
-  // fields.  The simplex renders as "simplex" — including it even in the
-  // default case keeps the config self-describing.
-  std::string space = "simplex";
-  if (!spec.coverage.is_default()) {
-    space = spec.coverage.descriptor();
-  } else if (!spec.group_budgets.empty()) {
-    try {
-      space = games::CoverageSpace::grouped(spec.target_groups,
-                                            spec.group_budgets)
-                  .descriptor();
-    } catch (const std::invalid_argument&) {
-      // Malformed spec: make_solver will reject it; still discriminate.
-      space = "grouped-invalid";
-    }
-  }
+  // budgets/caps).  The simplex renders as "simplex" — including it even
+  // in the default case keeps the config self-describing.
+  const std::string space =
+      spec.coverage.is_default() ? "simplex" : spec.coverage.descriptor();
   return spec.name + buf + "|space=" + space;
 }
 
@@ -58,8 +45,6 @@ std::unique_ptr<DefenderSolver> make_solver(const SolverSpec& spec) {
     opt.epsilon = spec.epsilon;
     opt.polish_iterations = spec.polish_iterations;
     opt.parallel_sections = std::max(1, spec.parallel_sections);
-    opt.target_groups = spec.target_groups;
-    opt.group_budgets = spec.group_budgets;
     if (spec.name == "cubis-milp") opt.backend = StepBackend::kMilp;
     return std::make_unique<CubisSolver>(opt);
   }

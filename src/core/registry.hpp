@@ -29,12 +29,6 @@ struct SolverSpec {
   /// fingerprint compat hash) so two configs over different polytopes can
   /// never alias into the same exact-cache entry.
   games::CoverageSpace coverage{};
-  /// Legacy grouped-budget passthrough (CubisOptions::target_groups /
-  /// group_budgets); prefer `coverage` for new callers.  Also folded into
-  /// canonical_solver_config — the historical aliasing bug was that two
-  /// grouped configs differing only in per-slot budgets hashed equal.
-  std::vector<std::size_t> target_groups;
-  std::vector<double> group_budgets;
 };
 
 /// All registered solver names.

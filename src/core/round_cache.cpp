@@ -27,9 +27,8 @@ obs::Counter& model_patches_counter() {
 
 lp::Model build_step_milp(const SolveContext& ctx,
                           const std::vector<TargetPls>& pls, double big_m,
-                          const CubisOptions& opt, MilpLayout& layout,
-                          bool dense, MilpRowIds* rows,
-                          const games::CoverageSpace* space) {
+                          const games::CoverageSpace& space,
+                          MilpLayout& layout, bool dense, MilpRowIds* rows) {
   const std::size_t t_count = pls.size();
   const std::size_t k_count = pls.front().f1.segments();
   const double k_inv = 1.0 / static_cast<double>(k_count);
@@ -68,49 +67,30 @@ lp::Model build_step_milp(const SolveContext& ctx,
     }
   }
 
-  // (37) budget rows, in normalized units: sum x~_{ik} <= R_g * K per
-  // budget group (one game-wide group in the paper's setting).
-  if (space != nullptr && !space->is_default() && !space->is_simplex()) {
-    // Polytope-driven rows: per-group budgets from the coverage space,
-    // plus one reachability cap row per capped target.
-    for (std::size_t g = 0; g < space->num_groups(); ++g) {
-      const int budget =
-          m.add_row("budget" + std::to_string(g), lp::Sense::kLe,
-                    space->budget(g) * static_cast<double>(k_count));
-      for (std::size_t i = 0; i < t_count; ++i) {
-        if (space->group_of(i) != g) continue;
-        for (std::size_t k = 0; k < k_count; ++k) {
-          m.set_coeff(budget, layout.xcol(i, k), 1.0);
-        }
+  // (37) budget rows, in normalized units: sum x~_{ik} <= B_g * K per
+  // budget group (one game-wide group in the paper's setting, whose rhs
+  // is the game's R exactly as the step DP reads it), plus one
+  // reachability cap row per target with cap < 1 (patrol graphs).
+  for (std::size_t g = 0; g < space.num_groups(); ++g) {
+    const double b_g =
+        space.is_simplex() ? ctx.game.resources() : space.budget(g);
+    const int budget = m.add_row("budget" + std::to_string(g),
+                                 lp::Sense::kLe,
+                                 b_g * static_cast<double>(k_count));
+    for (std::size_t i = 0; i < t_count; ++i) {
+      if (space.group_of(i) != g) continue;
+      for (std::size_t k = 0; k < k_count; ++k) {
+        m.set_coeff(budget, layout.xcol(i, k), 1.0);
       }
     }
-    if (space->has_caps()) {
-      for (std::size_t i = 0; i < t_count; ++i) {
-        if (space->cap(i) >= 1.0) continue;
-        const int cap =
-            m.add_row("cap" + std::to_string(i), lp::Sense::kLe,
-                      space->cap(i) * static_cast<double>(k_count));
-        for (std::size_t k = 0; k < k_count; ++k) {
-          m.set_coeff(cap, layout.xcol(i, k), 1.0);
-        }
-      }
-    }
-  } else {
-    const std::size_t num_groups =
-        opt.group_budgets.empty() ? 1 : opt.group_budgets.size();
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      const double r_g = opt.group_budgets.empty() ? ctx.game.resources()
-                                                   : opt.group_budgets[g];
-      const int budget =
-          m.add_row("budget" + std::to_string(g), lp::Sense::kLe,
-                    r_g * static_cast<double>(k_count));
-      for (std::size_t i = 0; i < t_count; ++i) {
-        const std::size_t gi =
-            opt.target_groups.empty() ? 0 : opt.target_groups[i];
-        if (gi != g) continue;
-        for (std::size_t k = 0; k < k_count; ++k) {
-          m.set_coeff(budget, layout.xcol(i, k), 1.0);
-        }
+  }
+  if (space.has_caps()) {
+    for (std::size_t i = 0; i < t_count; ++i) {
+      if (space.cap(i) >= 1.0) continue;
+      const int cap = m.add_row("cap" + std::to_string(i), lp::Sense::kLe,
+                                space.cap(i) * static_cast<double>(k_count));
+      for (std::size_t k = 0; k < k_count; ++k) {
+        m.set_coeff(cap, layout.xcol(i, k), 1.0);
       }
     }
   }
@@ -301,11 +281,11 @@ void RoundCache::set_value(double c) {
 }
 
 MilpStepCache::MilpStepCache(const SolveContext& ctx, const RoundCache& cache,
-                             const CubisOptions& opt) {
+                             const games::CoverageSpace& space) {
   if (cache.pls().empty()) {
     throw InvalidModelError("MilpStepCache: cache built without pls");
   }
-  model_ = build_step_milp(ctx, cache.pls(), step_big_m(cache.pls()), opt,
+  model_ = build_step_milp(ctx, cache.pls(), step_big_m(cache.pls()), space,
                            layout_, /*dense=*/true, &rows_);
 }
 

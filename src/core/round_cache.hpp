@@ -10,8 +10,9 @@
 // solve and every round's f1/f2/phi rebuild is one axpy per function
 // (table_a - c * table_b) instead of 2*T*(K+1) functor evaluations, 2*T
 // fresh PiecewiseLinear allocations and a flat phi table.  The step MILP's
-// constraint skeleton (rows (34)-(40), big-M rows) is likewise
-// round-invariant: a MilpStepCache builds it once (dense, so the entry
+// constraint skeleton (rows (34)-(40), big-M rows, and the polytope's
+// budget and cap rows) is likewise round-invariant on every coverage
+// polytope: a MilpStepCache builds it once (dense, so the entry
 // layout never changes) and patches only the c-dependent objective
 // coefficients, big-M entries and right-hand sides between rounds,
 // carrying the previous round's optimal root basis as a lp::WarmStart for
@@ -75,16 +76,16 @@ struct MilpRowIds {
 /// With `dense` set, the (35)/(36) rows store every x coefficient even
 /// when it is zero, so the entry layout is invariant under later patching
 /// (explicit zeros are dropped again by the simplex standard form and by
-/// presolve, so the solved problem is identical).  `space`, when non-null
-/// and not the simplex, drives the (37) budget rows instead of the legacy
-/// CubisOptions group fields: one row per polytope budget group plus one
-/// cap row per target with cap < 1 (patrol-graph reachability).  Null or
-/// simplex keeps the legacy emission byte-for-byte.
+/// presolve, so the solved problem is identical).  `space` (the solve's
+/// effective_space, never the default sentinel) drives the (37) budget
+/// rows: one row per budget group, with the simplex row's rhs taken from
+/// the game's R as the step DP does, plus one cap row per target with
+/// cap < 1 (patrol-graph reachability).
 lp::Model build_step_milp(const SolveContext& ctx,
                           const std::vector<TargetPls>& pls, double big_m,
-                          const CubisOptions& opt, MilpLayout& layout,
-                          bool dense = false, MilpRowIds* rows = nullptr,
-                          const games::CoverageSpace* space = nullptr);
+                          const games::CoverageSpace& space,
+                          MilpLayout& layout, bool dense = false,
+                          MilpRowIds* rows = nullptr);
 
 /// Maps a coverage vector x (on the segment grid or not) to a full MILP
 /// variable assignment satisfying (34)-(40).
@@ -141,13 +142,14 @@ class RoundCache {
 /// Patchable MILP skeleton plus the cross-round root warm-start basis.
 class MilpStepCache {
  public:
-  /// Builds the dense skeleton from the cache's current pls.
+  /// Builds the dense skeleton from the cache's current pls over the
+  /// solve's coverage polytope.
   MilpStepCache(const SolveContext& ctx, const RoundCache& cache,
-                const CubisOptions& opt);
+                const games::CoverageSpace& space);
 
   /// Seeds the skeleton from a transplant donor's copy (cross-solve
-  /// cache).  The structure must come from the same (T, K, R, group
-  /// config); every value-dependent entry is stale until the caller's
+  /// cache).  The structure must come from the same (T, K, R, coverage
+  /// polytope); every value-dependent entry is stale until the caller's
   /// first patch(), and the root basis starts empty — a donor's basis is
   /// never carried across solves.
   MilpStepCache(lp::Model model, MilpLayout layout, MilpRowIds rows)
@@ -156,8 +158,8 @@ class MilpStepCache {
         rows_(std::move(rows)) {}
 
   /// Rewrites the c-dependent pieces (objective coefficients, big-M
-  /// entries, RHS, v bounds) for the cache's current round.  Counts one
-  /// milp.model_patches_total.
+  /// entries, RHS, v bounds) for the cache's current round; the budget
+  /// and cap rows never change.  Counts one milp.model_patches_total.
   void patch(const RoundCache& cache);
 
   const lp::Model& model() const { return model_; }
@@ -182,11 +184,12 @@ struct RoundReuse {
 
   /// Re-arms the slot for a new solve: rebuilds the breakpoint cache from
   /// `tables` and drops the MILP skeleton plus its root basis (the
-  /// skeleton's budget rows encode the game's resources and patch() never
-  /// rewrites them, and a stale basis could steer the next solve's
-  /// branch-and-bound differently — dropping both keeps a reused slot
-  /// bitwise-identical to a fresh one).  The DP scratch keeps its buffer:
-  /// solve_step_dp_flat overwrites every value it reads.
+  /// skeleton's budget and cap rows encode the game's resources and
+  /// polytope and patch() never rewrites them, and a stale basis could
+  /// steer the next solve's branch-and-bound differently — dropping both
+  /// keeps a reused slot bitwise-identical to a fresh one).  The DP
+  /// scratch keeps its buffer: the step DP overwrites every value it
+  /// reads.
   void reset(const StepTables& tables, bool milp_backend) {
     cache.rebuild(tables, milp_backend);
     milp.reset();

@@ -6,7 +6,6 @@
 #include "common/fault_inject.hpp"
 #include "common/timer.hpp"
 #include "core/worst_case.hpp"
-#include "games/strategy_space.hpp"
 #include "obs/metrics.hpp"
 
 namespace cubisg::core {
@@ -103,7 +102,7 @@ void finalize_solution(const SolveContext& ctx, DefenderSolution& sol,
 DefenderSolution UniformSolver::solve(const SolveContext& ctx) const {
   Timer timer;
   DefenderSolution sol;
-  // The simplex seed is R/T exactly — the legacy uniform_strategy.
+  // The simplex seed is R/T exactly.
   sol.strategy = effective_space(ctx).uniform_seed();
   sol.status = SolverStatus::kOptimal;
   sol.solver_objective = 0.0;

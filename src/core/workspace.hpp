@@ -48,7 +48,7 @@ struct TransplantDonor {
   std::vector<double> blocks;
   std::uint64_t compat = 0;
   /// MILP skeleton (kMilp backend): structure depends only on compat
-  /// quantities (T, K, R, group config), and patch() rewrites every
+  /// quantities (T, K, R, coverage polytope), and patch() rewrites every
   /// value-dependent entry before first use.
   bool has_skeleton = false;
   double skeleton_resources = 0.0;
@@ -109,8 +109,8 @@ struct SolveWorkspace {
   std::vector<std::unique_ptr<RoundReuse>> cubis_lanes;
 
   /// Rebuilds the first `count` lanes from `tables` (resetting each lane's
-  /// cache and dropping its MILP skeleton — the skeleton's budget rows
-  /// depend on the game, and MilpStepCache::patch never rewrites them),
+  /// cache and dropping its MILP skeleton — the skeleton's budget and cap
+  /// rows depend on the game, and MilpStepCache::patch never rewrites them),
   /// growing the vector when a solve needs more lanes than the last one.
   void ensure_cubis_lanes(std::size_t count, const StepTables& step_tables,
                           bool milp_backend);

@@ -336,9 +336,9 @@ void SolveEngine::run_worker(std::size_t index) {
             const core::MilpStepCache& sk = *workspace.cubis_lanes[0]->milp;
             harvested->has_skeleton = true;
             harvested->skeleton_resources = item.job.game->resources();
-            // Donor-compatibility: consumers adopt the skeleton only when
-            // their own polytope descriptor matches (lanes are currently
-            // simplex-only, but the gate is descriptor-driven).
+            // Donor-compatibility: the skeleton's budget and cap rows
+            // encode the polytope, so consumers adopt it only when their
+            // own polytope descriptor matches.
             harvested->skeleton_space =
                 item.job.scenario != nullptr &&
                         !item.job.scenario->coverage.is_default()

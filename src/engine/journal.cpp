@@ -19,7 +19,6 @@ namespace cubisg::engine {
 namespace {
 
 constexpr char kHeader[] = "cubisg-journal 2";
-constexpr char kHeaderV1[] = "cubisg-journal 1";
 
 bool all_digits(const std::string& s) {
   if (s.empty()) return false;
@@ -140,7 +139,7 @@ bool BatchJournal::load(const std::string& path,
   while (std::getline(in, line)) {
     if (first) {
       first = false;
-      if (line == kHeader || line == kHeaderV1) continue;
+      if (line == kHeader) continue;
       // Headerless/foreign file: fall through and try the line as a
       // record; it will count as malformed if it is not one.
     }
@@ -157,59 +156,35 @@ bool BatchJournal::load(const std::string& path,
       ++bad;
       continue;
     }
-    // Per-line version disambiguation: a v2 record has
-    // "<hits> <transplants> <crc> <tag...>" left, a v1 record
-    // "<crc> <tag...>".  Whichever layout's CRC verifies wins; a tag
-    // that *looks* like the other version's fields cannot be confused
-    // because the CRC covers the exact field split.
+    // "<hits> <transplants> <crc> <tag...>" is left; the CRC covers the
+    // exact field split, so a line of any other layout (including the
+    // retired v1 "<crc> <tag...>") fails it and counts as malformed.
     std::string rest;
     std::getline(ls, rest);
     if (!rest.empty() && rest[0] == ' ') rest.erase(0, 1);
-    JournalEntry entry;
-    entry.status = status;
-    entry.digest = digest;
-    bool parsed = false;
-    {
-      // v2 attempt.
-      std::istringstream rs(rest);
-      std::string hits, transplants, crc_hex;
-      if (rs >> hits >> transplants >> crc_hex && all_digits(hits) &&
-          all_digits(transplants) && crc_hex.size() == 8) {
-        std::string tag;
-        std::getline(rs, tag);
-        if (!tag.empty() && tag[0] == ' ') tag.erase(0, 1);
-        std::uint32_t crc = 0;
-        if (std::sscanf(crc_hex.c_str(), "%x", &crc) == 1 &&
-            fnv1a32(digest_hex + " " + status + " " + hits + " " +
-                    transplants + " " + tag) == crc) {
-          entry.tag = tag;
-          entry.cache_hits = std::strtoll(hits.c_str(), nullptr, 10);
-          entry.cache_transplants =
-              std::strtoll(transplants.c_str(), nullptr, 10);
-          parsed = true;
-        }
-      }
-    }
-    if (!parsed) {
-      // v1 attempt.
-      std::istringstream rs(rest);
-      std::string crc_hex;
-      if (rs >> crc_hex && crc_hex.size() == 8) {
-        std::string tag;
-        std::getline(rs, tag);
-        if (!tag.empty() && tag[0] == ' ') tag.erase(0, 1);
-        std::uint32_t crc = 0;
-        if (std::sscanf(crc_hex.c_str(), "%x", &crc) == 1 &&
-            fnv1a32(digest_hex + " " + status + " " + tag) == crc) {
-          entry.tag = tag;
-          parsed = true;
-        }
-      }
-    }
-    if (!parsed) {
+    std::istringstream rs(rest);
+    std::string hits, transplants, crc_hex;
+    if (!(rs >> hits >> transplants >> crc_hex) || !all_digits(hits) ||
+        !all_digits(transplants) || crc_hex.size() != 8) {
       ++bad;
       continue;
     }
+    std::string tag;
+    std::getline(rs, tag);
+    if (!tag.empty() && tag[0] == ' ') tag.erase(0, 1);
+    std::uint32_t crc = 0;
+    if (std::sscanf(crc_hex.c_str(), "%x", &crc) != 1 ||
+        fnv1a32(digest_hex + " " + status + " " + hits + " " + transplants +
+                " " + tag) != crc) {
+      ++bad;
+      continue;
+    }
+    JournalEntry entry;
+    entry.status = status;
+    entry.digest = digest;
+    entry.tag = tag;
+    entry.cache_hits = std::strtoll(hits.c_str(), nullptr, 10);
+    entry.cache_transplants = std::strtoll(transplants.c_str(), nullptr, 10);
     // Later records for a tag win (a resumed run re-records its jobs).
     bool replaced = false;
     for (JournalEntry& e : out) {

@@ -18,12 +18,11 @@
 // because it may contain spaces — is the job tag (the scenario path in
 // batch mode).
 //
-// Version tolerance: load() accepts v1 lines
-// (`done <digest> <status> <crc> <tag...>`, crc over
-// "<digest> <status> <tag>") interleaved with v2 lines regardless of
-// the header, disambiguating per line by which layout's CRC verifies —
-// so resuming a v1 journal with a v2 binary (which appends v2 records
-// to the same file) round-trips every record.
+// Version tolerance: load() reads v2 records only.  A line in any other
+// layout — including the v1 `done <digest> <status> <crc> <tag...>` of
+// the first journal format — fails the v2 CRC and counts as malformed,
+// so `--resume` re-runs that job (resume is idempotent: a re-run records
+// the same digest).
 //
 // Durability and tolerance: each record is fflush+fsynced before the
 // submit loop moves on, so after kill -9 the journal holds every
@@ -56,8 +55,8 @@ struct JournalEntry {
   std::string tag;
   std::string status;  ///< ok | failed | crashed | quarantined
   std::uint64_t digest = 0;
-  /// Cache involvement (v2 records; v1 loads as 0/0): the job was
-  /// served from the cross-solve cache / solved from a transplant seed.
+  /// Cache involvement: the job was served from the cross-solve cache /
+  /// solved from a transplant seed.
   std::int64_t cache_hits = 0;
   std::int64_t cache_transplants = 0;
 };

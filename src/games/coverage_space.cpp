@@ -186,7 +186,7 @@ double CoverageSpace::total_budget() const {
 std::vector<double> CoverageSpace::uniform_seed() const {
   if (t_ == 0) throw std::invalid_argument("CoverageSpace: empty game");
   if (is_simplex() && groups_.empty()) {
-    // Legacy uniform_strategy: R/T exactly, no clamp.
+    // The legacy uniform strategy: R/T exactly, no clamp.
     return std::vector<double>(t_,
                                budgets_[0] / static_cast<double>(t_));
   }

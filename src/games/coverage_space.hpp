@@ -20,11 +20,10 @@
 //                   reachability (Yang et al., arXiv:2410.15600): a
 //                   location unreachable by slot s has cap 0 there.
 //
-// The simplex instance routes through the EXACT legacy single-budget code
-// (uniform_strategy / project_to_simplex_box / greedy_by_penalty), so
-// every solver that consumes a CoverageSpace stays bitwise-identical to
-// the pre-abstraction behavior on simplex games — the golden fixtures
-// prove the refactor.
+// The simplex instance runs the EXACT legacy single-budget arithmetic
+// (R/T seed, tau-bisection projection), so every solver that consumes a
+// CoverageSpace stays bitwise-identical to the pre-abstraction behavior
+// on simplex games — the golden fixtures prove the refactor.
 //
 // A CoverageSpace is a copyable value; descriptor() is a stable, lossless
 // (%a floats), parseable canonical string used by the fingerprint compat
@@ -105,13 +104,13 @@ class CoverageSpace {
   double cap(std::size_t i) const { return caps_.empty() ? 1.0 : caps_[i]; }
 
   /// Per-target group ids (empty = everything in group 0) and per-group
-  /// budgets, in the same shape CubisOptions carries.
+  /// budgets.
   const std::vector<std::size_t>& target_groups() const { return groups_; }
   const std::vector<double>& group_budgets() const { return budgets_; }
   const std::vector<double>& caps() const { return caps_; }
 
   /// The per-group uniform fallback strategy.  Simplex: R/T exactly
-  /// (legacy uniform_strategy); grouped: min(cap_i, B_g / |g|).
+  /// (the legacy uniform strategy); grouped: min(cap_i, B_g / |g|).
   std::vector<double> uniform_seed() const;
 
   /// Greedy coverage seed: within each group, assign min(cap, remaining
@@ -121,8 +120,8 @@ class CoverageSpace {
 
   /// Euclidean projection of `v` onto the polytope with per-group sums
   /// pinned to the budgets (clamp(v - tau, 0, cap) with a per-group
-  /// bisection on tau).  Simplex delegates to the legacy
-  /// project_to_simplex_box bit-for-bit.
+  /// bisection on tau).  Simplex keeps the legacy single-budget
+  /// projection bit-for-bit.
   std::vector<double> project(std::span<const double> v) const;
 
   /// Max feasibility violations, re-measured from scratch: `budget_over`

@@ -7,8 +7,9 @@
 // movement) via per-slot reward multipliers.
 //
 // The flattened game plugs into the ordinary SSG machinery; the per-slot
-// budgets become CUBIS budget groups (CubisOptions::target_groups /
-// group_budgets), which keep the binary-search step separable.
+// budgets become the budget groups of coverage_space(), which a solve
+// takes through core::SolveContext::space and which keep the
+// binary-search step separable.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +34,9 @@ struct ScheduledGame {
   /// Budget-group id (== slot) of a flat target.
   std::size_t group_of(std::size_t flat) const { return flat / locations; }
 
-  /// target_groups vector for CubisOptions.
+  /// Per-target budget-group ids (== slot).
   std::vector<std::size_t> target_groups() const;
-  /// group_budgets vector for CubisOptions.
+  /// Per-slot budgets.
   std::vector<double> group_budgets() const;
   /// The per-slot budget polytope as a CoverageSpace (kGrouped).
   CoverageSpace coverage_space() const {

@@ -6,7 +6,7 @@
 
 #include "common/errors.hpp"
 #include "common/math_util.hpp"
-#include "games/strategy_space.hpp"
+#include "games/coverage_space.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "parallel/parallel_for.hpp"
@@ -233,6 +233,8 @@ std::vector<AttackObservation> simulate_attack_data(
     std::size_t count, Rng& rng) {
   const std::size_t n = game.num_targets();
   behavior::SuqrModel model(truth, game);
+  const games::CoverageSpace space =
+      games::CoverageSpace::simplex(n, game.resources());
   std::vector<AttackObservation> data;
   data.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
@@ -240,8 +242,7 @@ std::vector<AttackObservation> simulate_attack_data(
     // varies patrols day to day, which is what identifies w1).
     std::vector<double> raw(n);
     for (auto& v : raw) v = rng.uniform(0.0, 1.0);
-    std::vector<double> x =
-        games::project_to_simplex_box(raw, game.resources());
+    std::vector<double> x = space.project(raw);
     std::vector<double> q = behavior::attack_probabilities(model, x);
     double u = rng.uniform();
     std::size_t target = n - 1;

@@ -13,7 +13,7 @@
 #include "core/pasaq.hpp"
 #include "core/worst_case.hpp"
 #include "games/generators.hpp"
-#include "games/strategy_space.hpp"
+#include "games/coverage_space.hpp"
 
 namespace cubisg::core {
 namespace {
@@ -71,7 +71,7 @@ TEST(Maximin, ObjectiveIsMinUtilityFloor) {
   }
   EXPECT_NEAR(floor_u, sol.solver_objective, 1e-7);
   // No strategy can have a higher floor (spot-check with uniform).
-  auto uni = games::uniform_strategy(7, 3.0);
+  auto uni = games::CoverageSpace::simplex(7, 3.0).uniform_seed();
   double uni_floor = 1e18;
   for (std::size_t i = 0; i < 7; ++i) {
     uni_floor = std::min(uni_floor, f.ug.game.defender_utility(i, uni[i]));
@@ -155,8 +155,9 @@ TEST(Gradient, ImprovesOnItsStartingPoints) {
   opt.num_starts = 4;
   DefenderSolution sol = GradientSolver(opt).solve(f.ctx());
   ASSERT_TRUE(sol.ok());
-  const double uniform_w = worst_case_utility(
-      f.ug.game, f.bounds, games::uniform_strategy(6, 2.0));
+  const double uniform_w =
+      worst_case_utility(f.ug.game, f.bounds,
+                         games::CoverageSpace::simplex(6, 2.0).uniform_seed());
   EXPECT_GE(sol.worst_case_utility, uniform_w - 1e-9);
   EXPECT_TRUE(f.ug.game.is_feasible_strategy(sol.strategy, 1e-6));
 }

@@ -9,7 +9,7 @@
 #include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "games/comb_sampling.hpp"
-#include "games/strategy_space.hpp"
+#include "games/coverage_space.hpp"
 
 namespace cubisg::games {
 namespace {
@@ -73,7 +73,7 @@ TEST(CombSampling, MixtureIsSmall) {
     std::vector<double> raw(t);
     for (auto& v : raw) v = rng.uniform(0.0, 1.0);
     const double r = rng.uniform(0.5, static_cast<double>(t) * 0.8);
-    auto x = project_to_simplex_box(raw, r);
+    auto x = CoverageSpace::simplex(raw.size(), r).project(raw);
     auto mix = comb_decomposition(x);
     EXPECT_LE(mix.size(), t + 1);
   }

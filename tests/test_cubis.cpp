@@ -16,7 +16,7 @@
 #include "core/pasaq.hpp"
 #include "core/worst_case.hpp"
 #include "games/generators.hpp"
-#include "games/strategy_space.hpp"
+#include "games/coverage_space.hpp"
 
 namespace cubisg::core {
 namespace {
@@ -320,7 +320,7 @@ TEST(Cubis, PolishRecoversTable1GridResidual) {
 
 TEST(Cubis, LocalAscentImprovesWorstCase) {
   Fixture f(64, 5, 2.0, 1.0);
-  std::vector<double> x0 = games::uniform_strategy(5, 2.0);
+  std::vector<double> x0 = games::CoverageSpace::simplex(5, 2.0).uniform_seed();
   const double w0 = worst_case_utility(f.ug.game, f.bounds, x0);
   GradientOptions gopt;
   gopt.max_iterations = 50;

@@ -108,13 +108,18 @@ TEST(Families, EverySolverAuditsCleanOnPatrolGraph) {
 // ---- warm rounds: RoundCache lanes == fresh path, bitwise -------------
 
 void expect_warm_matches_fresh(const FamilyFixture& fx) {
+  const core::SolveContext ctx{fx.fg.game.game, fx.bounds,
+                               /*budget=*/nullptr, /*workspace=*/nullptr,
+                               &fx.fg.coverage};
   core::CubisOptions opt;
   opt.segments = 10;
   opt.epsilon = 1e-3;
-  testing::expect_warm_matches_fresh_bitwise(
-      {fx.fg.game.game, fx.bounds, /*budget=*/nullptr,
-       /*workspace=*/nullptr, &fx.fg.coverage},
-      opt, fx.name);
+  testing::expect_warm_matches_fresh_bitwise(ctx, opt, fx.name);
+  // The MILP lanes patch one skeleton whose budget and cap rows come from
+  // the family's polytope.
+  opt.backend = core::StepBackend::kMilp;
+  opt.segments = 5;
+  testing::expect_warm_matches_fresh_bitwise(ctx, opt, fx.name + " milp");
 }
 
 TEST(Families, WarmRoundsMatchFreshBitwiseOnMultiDefender) {

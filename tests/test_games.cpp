@@ -10,7 +10,6 @@
 #include "games/coverage_space.hpp"
 #include "games/generators.hpp"
 #include "games/security_game.hpp"
-#include "games/strategy_space.hpp"
 
 namespace cubisg::games {
 namespace {
@@ -199,10 +198,11 @@ TEST(PessimisticDefender, Validation) {
 }
 
 TEST(StrategySpace, UniformStrategy) {
-  auto x = uniform_strategy(4, 3.0);
+  auto x = CoverageSpace::simplex(4, 3.0).uniform_seed();
   ASSERT_EQ(x.size(), 4u);
   for (double xi : x) EXPECT_DOUBLE_EQ(xi, 0.75);
-  EXPECT_THROW(uniform_strategy(0, 1.0), std::invalid_argument);
+  EXPECT_THROW(CoverageSpace::simplex(0, 1.0).uniform_seed(),
+               std::invalid_argument);
 }
 
 TEST(StrategySpace, ProjectionIsFeasible) {
@@ -212,7 +212,7 @@ TEST(StrategySpace, ProjectionIsFeasible) {
     const double r = rng.uniform(0.0, static_cast<double>(n));
     std::vector<double> v(n);
     for (auto& vi : v) vi = rng.uniform(-2.0, 3.0);
-    auto x = project_to_simplex_box(v, r);
+    auto x = CoverageSpace::simplex(v.size(), r).project(v);
     double sum = 0.0;
     for (double xi : x) {
       EXPECT_GE(xi, -1e-12);
@@ -225,14 +225,14 @@ TEST(StrategySpace, ProjectionIsFeasible) {
 
 TEST(StrategySpace, ProjectionIsIdempotent) {
   std::vector<double> v{0.2, 0.5, 0.3};
-  auto x = project_to_simplex_box(v, 1.0);
+  auto x = CoverageSpace::simplex(v.size(), 1.0).project(v);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(x[i], v[i], 1e-9);
 }
 
 TEST(StrategySpace, ProjectionMinimizesDistance) {
   // Reference check against a fine grid search on a 2d instance.
   std::vector<double> v{1.4, -0.2};
-  auto x = project_to_simplex_box(v, 1.0);
+  auto x = CoverageSpace::simplex(v.size(), 1.0).project(v);
   double best = 1e18;
   std::vector<double> best_x(2);
   for (int i = 0; i <= 1000; ++i) {
@@ -251,17 +251,18 @@ TEST(StrategySpace, ProjectionMinimizesDistance) {
 
 TEST(StrategySpace, GreedyCoversWorstTargetsFirst) {
   std::vector<double> penalties{-1.0, -9.0, -5.0};
-  auto x = greedy_by_penalty(penalties, 1.5);
+  auto x =
+      CoverageSpace::simplex(penalties.size(), 1.5).greedy_seed(penalties);
   EXPECT_DOUBLE_EQ(x[1], 1.0);   // worst penalty gets full coverage
   EXPECT_DOUBLE_EQ(x[2], 0.5);   // next worst gets the remainder
   EXPECT_DOUBLE_EQ(x[0], 0.0);
 }
 
-// ---- project_to_simplex_box edge cases (historically untested). ----
+// ---- simplex projection edge cases (historically untested). ----
 
 TEST(StrategySpace, ProjectionWithZeroResourcesIsAllZeros) {
   std::vector<double> v{0.9, -0.3, 2.0, 0.5};
-  auto x = project_to_simplex_box(v, 0.0);
+  auto x = CoverageSpace::simplex(v.size(), 0.0).project(v);
   ASSERT_EQ(x.size(), 4u);
   for (double xi : x) EXPECT_DOUBLE_EQ(xi, 0.0);
 }
@@ -270,10 +271,10 @@ TEST(StrategySpace, ProjectionSaturatesWhenResourcesEqualTargets) {
   // R = T: the box clamp saturates every coordinate at 1 and the budget
   // row is tight at the corner.
   std::vector<double> v{-1.0, 0.2, 5.0};
-  auto x = project_to_simplex_box(v, 3.0);
+  auto x = CoverageSpace::simplex(v.size(), 3.0).project(v);
   for (double xi : x) EXPECT_DOUBLE_EQ(xi, 1.0);
-  // R > T has no feasible point: the wrapper rejects it up front.
-  EXPECT_THROW(project_to_simplex_box(v, 3.0 + 1e-6),
+  // R > T has no feasible point: the factory rejects it up front.
+  EXPECT_THROW(CoverageSpace::simplex(v.size(), 3.0 + 1e-6).project(v),
                std::invalid_argument);
 }
 
@@ -284,8 +285,8 @@ TEST(StrategySpace, ProjectionOfEqualInputsIsEqualAndDeterministic) {
   // bisection onto a prefix of the coordinates, so the low-order ~1e-14
   // can differ between coordinates -- but never between calls.)
   std::vector<double> v(8, 0.37);
-  const auto a = project_to_simplex_box(v, 2.0);
-  const auto b = project_to_simplex_box(v, 2.0);
+  const auto a = CoverageSpace::simplex(v.size(), 2.0).project(v);
+  const auto b = CoverageSpace::simplex(v.size(), 2.0).project(v);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "projection must be deterministic";
     EXPECT_NEAR(a[i], 0.25, 1e-12);
@@ -297,7 +298,8 @@ TEST(StrategySpace, GreedyTieOrderingIsPinnedToTargetIndex) {
   // Equal penalties: coverage is assigned in ascending target index, a
   // pinned ordering warm starts and goldens rely on.
   std::vector<double> penalties{-4.0, -4.0, -4.0};
-  auto x = greedy_by_penalty(penalties, 1.5);
+  auto x =
+      CoverageSpace::simplex(penalties.size(), 1.5).greedy_seed(penalties);
   EXPECT_DOUBLE_EQ(x[0], 1.0);
   EXPECT_DOUBLE_EQ(x[1], 0.5);
   EXPECT_DOUBLE_EQ(x[2], 0.0);
@@ -305,22 +307,29 @@ TEST(StrategySpace, GreedyTieOrderingIsPinnedToTargetIndex) {
 
 // ---- CoverageSpace: the polytope abstraction. ----
 
-TEST(CoverageSpace, SimplexMatchesLegacyHelpersBitwise) {
+TEST(CoverageSpace, SimplexMatchesOneGroupGroupedBitwise) {
+  // The simplex instance keeps the legacy single-budget arithmetic; a
+  // grouped space with every target in one group and the same budget runs
+  // the general per-group code.  Both describe the same polytope, and the
+  // general code reduces to the legacy arithmetic step for step.
   Rng rng(77);
   for (int trial = 0; trial < 25; ++trial) {
     const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 9));
     const double r = rng.uniform(0.0, static_cast<double>(n));
     const CoverageSpace space = CoverageSpace::simplex(n, r);
     ASSERT_TRUE(space.is_simplex());
+    const CoverageSpace one_group =
+        CoverageSpace::grouped(std::vector<std::size_t>(n, 0), {r});
+    ASSERT_FALSE(one_group.is_simplex());
     const auto u1 = space.uniform_seed();
-    const auto u2 = uniform_strategy(n, r);
+    const auto u2 = one_group.uniform_seed();
     std::vector<double> v(n), pen(n);
     for (auto& vi : v) vi = rng.uniform(-2.0, 3.0);
     for (auto& p : pen) p = rng.uniform(-9.0, -1.0);
     const auto p1 = space.project(v);
-    const auto p2 = project_to_simplex_box(v, r);
+    const auto p2 = one_group.project(v);
     const auto g1 = space.greedy_seed(pen);
-    const auto g2 = greedy_by_penalty(pen, r);
+    const auto g2 = one_group.greedy_seed(pen);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(u1[i], u2[i]);
       EXPECT_EQ(p1[i], p2[i]);

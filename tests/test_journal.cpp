@@ -203,13 +203,14 @@ TEST(Journal, CacheFieldsRoundTrip) {
   EXPECT_EQ(warm->cache_transplants, 1);
 }
 
-// Resuming a v1 journal with a v2 binary appends v2 records to the same
-// file.  load() must round-trip the mix: v1 lines parse with zero cache
-// fields, v2 lines with theirs, and later records still win per tag.
-TEST(Journal, MixedV1AndV2LinesLoadTogether) {
-  TempFile tmp("journal_mixed_versions.log");
+// The v1 record layout (`done <digest> <status> <crc> <tag...>`) is
+// retired: a v1 header and v1 records count as malformed and load no
+// entry, so --resume re-runs those jobs, while v2 records appended to the
+// same file still load and still supersede earlier lines per tag.
+TEST(Journal, V1LinesCountAsMalformedAndAreReRun) {
+  TempFile tmp("journal_v1_lines.log");
   {
-    // Hand-written v1 journal (header + one record, CRC computed with
+    // Hand-written v1 journal (header + two records, CRC computed with
     // the same FNV-1a 32 the v1 writer used).
     const auto crc32 = [](const std::string& s) {
       std::uint32_t h = 2166136261u;
@@ -227,12 +228,11 @@ TEST(Journal, MixedV1AndV2LinesLoadTogether) {
     out << "cubisg-journal 1\n";
     out << "done " << digest_hex << " ok " << crc_hex << " old.scn\n";
     std::snprintf(crc_hex, sizeof crc_hex, "%08x",
-                  crc32(digest_hex + " crashed rerun.scn"));
-    out << "done " << digest_hex << " crashed " << crc_hex
-        << " rerun.scn\n";
+                  crc32(digest_hex + " ok rerun.scn"));
+    out << "done " << digest_hex << " ok " << crc_hex << " rerun.scn\n";
   }
   {
-    // The resumed (v2) run appends its records to the v1 file.
+    // A resumed run appends v2 records to the v1 file.
     BatchJournal j;
     std::string err;
     ASSERT_TRUE(j.open(tmp.path, err)) << err;
@@ -244,19 +244,16 @@ TEST(Journal, MixedV1AndV2LinesLoadTogether) {
   std::string err;
   std::size_t malformed = 9;
   ASSERT_TRUE(BatchJournal::load(tmp.path, entries, err, &malformed)) << err;
-  EXPECT_EQ(malformed, 0u);
-  ASSERT_EQ(entries.size(), 3u);
-  const JournalEntry* old = find(entries, "old.scn");
-  ASSERT_NE(old, nullptr);
-  EXPECT_EQ(old->status, "ok");
-  EXPECT_EQ(old->digest, 0xabull);
-  EXPECT_EQ(old->cache_hits, 0) << "v1 records load with zero cache fields";
+  EXPECT_EQ(malformed, 3u) << "the v1 header and both v1 records";
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(find(entries, "old.scn"), nullptr)
+      << "a v1 record must not mark its job done";
   const JournalEntry* fresh = find(entries, "new.scn");
   ASSERT_NE(fresh, nullptr);
   EXPECT_EQ(fresh->cache_hits, 1);
   const JournalEntry* rerun = find(entries, "rerun.scn");
   ASSERT_NE(rerun, nullptr);
-  EXPECT_EQ(rerun->status, "ok") << "later v2 record supersedes the v1 one";
+  EXPECT_EQ(rerun->status, "ok");
   EXPECT_EQ(rerun->digest, 0xefull);
   EXPECT_EQ(rerun->cache_transplants, 1);
 }

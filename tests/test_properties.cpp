@@ -16,7 +16,7 @@
 #include "core/worst_case.hpp"
 #include "games/comb_sampling.hpp"
 #include "games/generators.hpp"
-#include "games/strategy_space.hpp"
+#include "games/coverage_space.hpp"
 
 namespace cubisg {
 namespace {
@@ -72,7 +72,7 @@ TEST_P(PropertyTest, WorstCaseBetweenFloorAndMidpointEverywhere) {
     Instance in = Instance::make(rng(), t, r, rng.uniform(0.0, 2.0));
     std::vector<double> raw(t);
     for (auto& v : raw) v = rng.uniform(0.0, 1.0);
-    auto x = games::project_to_simplex_box(raw, r);
+    auto x = games::CoverageSpace::simplex(raw.size(), r).project(raw);
 
     const double w = core::worst_case_utility(in.ug.game, in.bounds, x);
     double floor_u = std::numeric_limits<double>::infinity();
@@ -98,7 +98,7 @@ TEST_P(PropertyTest, SampledTypesNeverUndercutCertifiedWorstCase) {
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<double> raw(6);
     for (auto& v : raw) v = rng.uniform(0.0, 1.0);
-    auto x = games::project_to_simplex_box(raw, 2.0);
+    auto x = games::CoverageSpace::simplex(raw.size(), 2.0).project(raw);
     const double w = core::worst_case_utility(in.ug.game, in.bounds, x);
     EXPECT_GE(pop.min_defender_utility(in.ug.game, x), w - 1e-7);
   }
@@ -111,7 +111,7 @@ TEST_P(PropertyTest, DualityRootConsistentWithPropositionOne) {
   Instance in = Instance::make(rng(), 5, 2.0, 1.0);
   std::vector<double> raw(5);
   for (auto& v : raw) v = rng.uniform(0.0, 1.0);
-  auto x = games::project_to_simplex_box(raw, 2.0);
+  auto x = games::CoverageSpace::simplex(raw.size(), 2.0).project(raw);
   const double w = core::worst_case_utility(in.ug.game, in.bounds, x);
   const core::PointData p = core::evaluate_point(in.ug.game, in.bounds, x);
   for (double delta : {-0.5, -0.1, -0.01}) {
@@ -155,7 +155,7 @@ TEST_P(PropertyTest, CombSamplingPreservesExpectedUtilityLinearly) {
   Instance in = Instance::make(rng(), t, 2.0, 1.0);
   std::vector<double> raw(t);
   for (auto& v : raw) v = rng.uniform(0.0, 1.0);
-  auto x = games::project_to_simplex_box(raw, 2.0);
+  auto x = games::CoverageSpace::simplex(raw.size(), 2.0).project(raw);
 
   // A fixed attack distribution (the worst case at x, say).
   auto wc = core::worst_case(in.ug.game, in.bounds, x);

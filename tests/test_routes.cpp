@@ -6,7 +6,7 @@
 #include "common/rng.hpp"
 #include "games/comb_sampling.hpp"
 #include "games/routes.hpp"
-#include "games/strategy_space.hpp"
+#include "games/coverage_space.hpp"
 
 namespace cubisg::games {
 namespace {
@@ -68,7 +68,7 @@ TEST(Routes, SingletonWindowsMatchCombSampling) {
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<double> raw(7);
     for (auto& v : raw) v = rng.uniform(0.0, 1.0);
-    auto x = project_to_simplex_box(raw, 3.0);
+    auto x = CoverageSpace::simplex(raw.size(), 3.0).project(raw);
     RouteMixture mix = marginal_to_route_mixture(routes, x, 3.0);
     EXPECT_NEAR(mix.deviation, 0.0, 1e-8) << "trial " << trial;
     // And comb sampling agrees it is implementable.

@@ -155,10 +155,10 @@ TEST(Schedule, CubisRespectsPerSlotBudgets) {
                             sched.flattened.attacker_intervals);
   core::CubisOptions opt;
   opt.segments = 10;
-  opt.target_groups = sched.target_groups();
-  opt.group_budgets = sched.group_budgets();
-  core::DefenderSolution sol =
-      core::CubisSolver(opt).solve({sched.flattened.game, bounds});
+  const games::CoverageSpace space = sched.coverage_space();
+  core::SolveContext ctx{sched.flattened.game, bounds};
+  ctx.space = &space;
+  core::DefenderSolution sol = core::CubisSolver(opt).solve(ctx);
   ASSERT_TRUE(sol.ok());
   for (std::size_t d = 0; d < 3; ++d) {
     double used = 0.0;
@@ -175,14 +175,17 @@ TEST(Schedule, GroupBudgetValidationInSolver) {
   SuqrIntervalBounds bounds(SuqrWeightIntervals{},
                             sched.flattened.attacker_intervals);
   core::SolveContext ctx{sched.flattened.game, bounds};
-  core::CubisOptions bad;
-  bad.group_budgets = {1.0, 1.0};
-  bad.target_groups = {0, 1};  // wrong size (8 targets)
-  EXPECT_THROW(core::CubisSolver(bad).solve(ctx), InvalidModelError);
-  core::CubisOptions bad2;
-  bad2.group_budgets = {5.0, 5.0};  // does not sum to game resources
-  bad2.target_groups = sched.target_groups();
-  EXPECT_THROW(core::CubisSolver(bad2).solve(ctx), InvalidModelError);
+  // A space over the wrong number of targets (2, the game has 8) is
+  // rejected by the solve, through effective_space.
+  const games::CoverageSpace wrong_size =
+      games::CoverageSpace::grouped({0, 1}, {1.0, 1.0});
+  ctx.space = &wrong_size;
+  EXPECT_THROW(core::CubisSolver().solve(ctx), InvalidModelError);
+  // A slot budget above its slot's capacity (4 locations, 5 units) is
+  // rejected when the space is built.
+  EXPECT_THROW(
+      games::CoverageSpace::grouped(sched.target_groups(), {5.0, 5.0}),
+      std::invalid_argument);
 }
 
 TEST(Schedule, UniformDriftMatchesSingleSlotReplication) {
@@ -200,9 +203,10 @@ TEST(Schedule, UniformDriftMatchesSingleSlotReplication) {
                             sched.flattened.attacker_intervals);
   core::CubisOptions opt;
   opt.segments = 10;
-  opt.target_groups = sched.target_groups();
-  opt.group_budgets = sched.group_budgets();
-  auto sol2 = core::CubisSolver(opt).solve({sched.flattened.game, bounds});
+  const games::CoverageSpace space = sched.coverage_space();
+  core::SolveContext ctx{sched.flattened.game, bounds};
+  ctx.space = &space;
+  auto sol2 = core::CubisSolver(opt).solve(ctx);
   ASSERT_TRUE(sol2.ok());
   // Worst case: the attacker has twice as many (identical) options, so
   // the scheduled worst case equals the single-slot one (up to grid noise).

@@ -70,9 +70,24 @@ behavior::Scenario make_scenario(std::uint64_t seed, std::size_t targets,
       behavior::SuqrWeightIntervals{}, behavior::IntervalMode::kExactBox};
 }
 
+/// A multi-defender scenario: `defenders` blocks of `block` targets, each
+/// block with its own budget (a non-simplex coverage polytope).
+behavior::Scenario make_multi_defender_scenario(std::uint64_t seed,
+                                                std::size_t defenders,
+                                                std::size_t block) {
+  Rng rng(seed);
+  games::FamilyGame fg =
+      games::multi_defender_uncertain_game(rng, defenders, block, 1.5, 1.0);
+  return behavior::Scenario{std::move(fg.game),
+                            behavior::SuqrWeightIntervals{},
+                            behavior::IntervalMode::kExactBox,
+                            std::move(fg.coverage)};
+}
+
 /// The near-miss generator: `base` with target `i`'s attacker reward
-/// nudged by `delta` (same shape, same R, same weights — compat-equal,
-/// so the cached solve of `base` is a transplant donor for the result).
+/// nudged by `delta` (same shape, same R, same weights, same coverage
+/// polytope — compat-equal, so the cached solve of `base` is a transplant
+/// donor for the result).
 behavior::Scenario perturb_target(const behavior::Scenario& base,
                                   std::size_t i, double delta) {
   std::vector<games::TargetPayoffs> payoffs;
@@ -85,7 +100,7 @@ behavior::Scenario perturb_target(const behavior::Scenario& base,
           games::SecurityGame(std::move(payoffs),
                               base.game.game.resources()),
           base.game.attacker_intervals},
-      base.weights, base.mode};
+      base.weights, base.mode, base.coverage};
 }
 
 SolveJob job_for(const Instance& inst) {
@@ -183,43 +198,54 @@ TEST(SolveCache, ExactHitsBitwiseAcrossEveryRegisteredSolver) {
 
 // Headline, part 2: a transplanted solve — warm-started from the nearest
 // cached neighbor's breakpoint tables (and, on the MILP backend, its
-// step-MILP skeleton) — is bitwise-identical to a cold solve.
+// step-MILP skeleton) — is bitwise-identical to a cold solve.  The MILP
+// case also runs a multi-defender scenario, whose skeleton carries one
+// budget row per defender: the donor gate then matches a non-simplex
+// coverage descriptor.
 TEST(SolveCache, TransplantedSolvesBitwiseIdenticalToCold) {
   for (const bool milp : {false, true}) {
-    SCOPED_TRACE(milp ? "cubis-milp" : "cubis");
-    const Instance a =
-        wrap(make_scenario(8101, milp ? 8 : 16, 3.0, 1.0));
-    const Instance b = wrap(perturb_target(*a.scenario, 2, 0.5));
-    core::SolverSpec spec = spec_for(milp ? "cubis-milp" : "cubis", a);
-    spec.segments = milp ? 5 : 8;
-    std::shared_ptr<const core::DefenderSolver> solver =
-        core::make_solver(spec);
+    std::vector<Instance> donors = {
+        wrap(make_scenario(8101, milp ? 8 : 16, 3.0, 1.0))};
+    if (milp) {
+      donors.push_back(wrap(make_multi_defender_scenario(8102, 2, 4)));
+    }
+    for (const Instance& a : donors) {
+      SCOPED_TRACE(std::string(milp ? "cubis-milp" : "cubis") + " / " +
+                   (a.scenario->coverage.is_default()
+                        ? std::string("simplex")
+                        : a.scenario->coverage.descriptor()));
+      const Instance b = wrap(perturb_target(*a.scenario, 2, 0.5));
+      core::SolverSpec spec = spec_for(milp ? "cubis-milp" : "cubis", a);
+      spec.segments = milp ? 5 : 8;
+      std::shared_ptr<const core::DefenderSolver> solver =
+          core::make_solver(spec);
 
-    EngineOptions cold;
-    cold.workers = 1;
-    SolveEngine eng_cold(solver, cold);
-    const JobOutcome want = eng_cold.submit(job_for(b)).get();
-    eng_cold.shutdown();
-    ASSERT_EQ(want.status, JobStatus::kCompleted) << want.error;
-    ASSERT_EQ(want.solution.status, SolverStatus::kOptimal);
+      EngineOptions cold;
+      cold.workers = 1;
+      SolveEngine eng_cold(solver, cold);
+      const JobOutcome want = eng_cold.submit(job_for(b)).get();
+      eng_cold.shutdown();
+      ASSERT_EQ(want.status, JobStatus::kCompleted) << want.error;
+      ASSERT_EQ(want.solution.status, SolverStatus::kOptimal);
 
-    SolveEngine eng(solver, cache_options(CacheMode::kTransplant, spec));
-    const JobOutcome oa = eng.submit(job_for(a)).get();
-    ASSERT_EQ(oa.status, JobStatus::kCompleted) << oa.error;
-    ASSERT_EQ(oa.solution.status, SolverStatus::kOptimal);
-    const JobOutcome ob = eng.submit(job_for(b)).get();
-    const CacheStats st = eng.cache()->stats();
-    eng.shutdown();
+      SolveEngine eng(solver, cache_options(CacheMode::kTransplant, spec));
+      const JobOutcome oa = eng.submit(job_for(a)).get();
+      ASSERT_EQ(oa.status, JobStatus::kCompleted) << oa.error;
+      ASSERT_EQ(oa.solution.status, SolverStatus::kOptimal);
+      const JobOutcome ob = eng.submit(job_for(b)).get();
+      const CacheStats st = eng.cache()->stats();
+      eng.shutdown();
 
-    ASSERT_EQ(ob.status, JobStatus::kCompleted) << ob.error;
-    EXPECT_FALSE(ob.cache_hit) << "a perturbed scenario is not an exact hit";
-    EXPECT_TRUE(ob.cache_transplant)
-        << "compat-equal neighbor with 1 differing target must donate";
-    EXPECT_EQ(digest(ob.solution), digest(want.solution))
-        << "transplant changed the result — the adopt/repair ladder leaked";
-    EXPECT_EQ(st.transplants, 1);
-    EXPECT_EQ(st.transplant_rejects, 0);
-    EXPECT_EQ(st.entries, 2u);
+      ASSERT_EQ(ob.status, JobStatus::kCompleted) << ob.error;
+      EXPECT_FALSE(ob.cache_hit) << "a perturbed scenario is not an exact hit";
+      EXPECT_TRUE(ob.cache_transplant)
+          << "compat-equal neighbor with 1 differing target must donate";
+      EXPECT_EQ(digest(ob.solution), digest(want.solution))
+          << "transplant changed the result — the adopt/repair ladder leaked";
+      EXPECT_EQ(st.transplants, 1);
+      EXPECT_EQ(st.transplant_rejects, 0);
+      EXPECT_EQ(st.entries, 2u);
+    }
   }
 }
 

@@ -7,7 +7,7 @@
 #include "common/rng.hpp"
 #include "core/sse.hpp"
 #include "games/generators.hpp"
-#include "games/strategy_space.hpp"
+#include "games/coverage_space.hpp"
 
 namespace cubisg::core {
 namespace {
@@ -77,7 +77,7 @@ TEST(Sse, DominatesUniformAgainstRationalAttacker) {
     auto g = games::random_game(rng, t, 0.4 * static_cast<double>(t));
     SseResult sse = solve_sse(g);
     ASSERT_EQ(sse.status, SolverStatus::kOptimal);
-    auto uni = games::uniform_strategy(t, g.resources());
+    auto uni = games::CoverageSpace::simplex(t, g.resources()).uniform_seed();
     const std::size_t br = best_response_target(g, uni);
     EXPECT_GE(sse.defender_utility,
               g.defender_utility(br, uni[br]) - 1e-7)
@@ -96,7 +96,7 @@ TEST(Sse, SingleTarget) {
 TEST(EpsilonResponse, MonotoneAndConvergesToFloor) {
   Rng rng(93);
   auto g = games::random_game(rng, 6, 2.0);
-  auto x = games::uniform_strategy(6, 2.0);
+  auto x = games::CoverageSpace::simplex(6, 2.0).uniform_seed();
   double prev = std::numeric_limits<double>::infinity();
   for (double eps : {0.0, 0.5, 1.0, 2.0, 100.0}) {
     const double v = epsilon_response_utility(g, x, eps);

@@ -142,11 +142,15 @@ TEST(WarmStartDifferential, GroupedBudgetsWarmMatchesFreshBitwise) {
   CubisOptions opt;
   opt.segments = 10;
   opt.epsilon = 1e-3;
-  opt.target_groups = {0, 0, 0, 1, 1, 1};
-  opt.group_budgets = {1.0, 1.0};
-  testing::expect_warm_matches_fresh_bitwise(f.ctx(), opt, "grouped");
-  opt.target_groups = {0, 1, 0, 1, 1, 0};
-  testing::expect_warm_matches_fresh_bitwise(f.ctx(), opt, "interleaved");
+  const games::CoverageSpace grouped =
+      games::CoverageSpace::grouped({0, 0, 0, 1, 1, 1}, {1.0, 1.0});
+  SolveContext ctx = f.ctx();
+  ctx.space = &grouped;
+  testing::expect_warm_matches_fresh_bitwise(ctx, opt, "grouped");
+  const games::CoverageSpace interleaved =
+      games::CoverageSpace::grouped({0, 1, 0, 1, 1, 0}, {1.0, 1.0});
+  ctx.space = &interleaved;
+  testing::expect_warm_matches_fresh_bitwise(ctx, opt, "interleaved");
 }
 
 // ---- step-level differential: bitwise on the DP backend ------------------

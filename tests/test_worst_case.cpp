@@ -11,7 +11,7 @@
 #include "core/hfunction.hpp"
 #include "core/worst_case.hpp"
 #include "games/generators.hpp"
-#include "games/strategy_space.hpp"
+#include "games/coverage_space.hpp"
 
 namespace cubisg::core {
 namespace {
@@ -62,7 +62,7 @@ TEST(HFunction, BetaOfProposition3) {
 
 TEST(HFunction, GAtStrictlyDecreasingInC) {
   WcFixture s(1, 6, 2.0, 1.0);
-  std::vector<double> x = games::uniform_strategy(6, 2.0);
+  std::vector<double> x = games::CoverageSpace::simplex(6, 2.0).uniform_seed();
   PointData p = evaluate_point(s.ug.game, *s.bounds, x);
   double prev = g_at(p, -10.0);
   for (double c = -9.5; c <= 10.0; c += 0.5) {
@@ -106,7 +106,7 @@ TEST_P(WorstCaseRandomTest, EvaluatorsAgreeOnRandomGames) {
     SuqrIntervalBounds b(SuqrWeightIntervals{}, ug.attacker_intervals);
     std::vector<double> raw(t);
     for (auto& v : raw) v = rng.uniform(0.0, 1.0);
-    auto x = games::project_to_simplex_box(raw, r);
+    auto x = games::CoverageSpace::simplex(raw.size(), r).project(raw);
 
     const double a = worst_case_utility(ug.game, b, x,
                                         WorstCaseMethod::kClosedForm);
@@ -130,7 +130,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(WorstCase, WorstLeqMidpointLeqBest) {
   WcFixture s(2, 8, 3.0, 1.5);
-  std::vector<double> x = games::uniform_strategy(8, 3.0);
+  std::vector<double> x = games::CoverageSpace::simplex(8, 3.0).uniform_seed();
   const double worst = worst_case_utility(s.ug.game, *s.bounds, x);
   const double best = best_case_utility(s.ug.game, *s.bounds, x);
   // Midpoint-model expected utility must lie between the extremes.
@@ -148,7 +148,7 @@ TEST(WorstCase, ZeroWidthRecoversPointModel) {
   auto model = std::make_shared<behavior::SuqrModel>(
       behavior::SuqrWeights{-4.0, 0.75, 0.65}, s.ug.game);
   behavior::PointBounds pb(model);
-  std::vector<double> x = games::uniform_strategy(5, 2.0);
+  std::vector<double> x = games::CoverageSpace::simplex(5, 2.0).uniform_seed();
   const double w = worst_case_utility(s.ug.game, pb, x);
   const double eu = behavior::defender_expected_utility(s.ug.game, *model, x);
   EXPECT_NEAR(w, eu, 1e-9);
@@ -158,7 +158,7 @@ TEST(WorstCase, ZeroWidthRecoversPointModel) {
 TEST(WorstCase, MonotoneInIntervalWidth) {
   // Wider uncertainty can only hurt the worst case.
   WcFixture s(4, 6, 2.0, 1.5);
-  std::vector<double> x = games::uniform_strategy(6, 2.0);
+  std::vector<double> x = games::CoverageSpace::simplex(6, 2.0).uniform_seed();
   double prev = std::numeric_limits<double>::infinity();
   for (double factor : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     behavior::ScaledBounds sb(s.bounds, factor);
@@ -172,7 +172,7 @@ TEST(WorstCase, WitnessIsConsistent) {
   // The returned attack distribution and attractiveness must reproduce the
   // reported value and respect the interval bounds.
   WcFixture s(5, 7, 3.0, 1.0);
-  std::vector<double> x = games::uniform_strategy(7, 3.0);
+  std::vector<double> x = games::CoverageSpace::simplex(7, 3.0).uniform_seed();
   WorstCaseResult r = worst_case(s.ug.game, *s.bounds, x);
   PointData p = evaluate_point(s.ug.game, *s.bounds, x);
   double q_sum = 0.0;
@@ -190,7 +190,7 @@ TEST(WorstCase, WitnessIsConsistent) {
 TEST(WorstCase, DualRootEqualsInnerLpOptimum) {
   // LP duality (Eqs. 6-14): the root of G equals the inner LP minimum.
   WcFixture s(6, 4, 1.0, 2.0);
-  std::vector<double> x = games::uniform_strategy(4, 1.0);
+  std::vector<double> x = games::CoverageSpace::simplex(4, 1.0).uniform_seed();
   const double lp = worst_case_utility(s.ug.game, *s.bounds, x,
                                        WorstCaseMethod::kInnerLp);
   PointData p = evaluate_point(s.ug.game, *s.bounds, x);
@@ -210,7 +210,7 @@ TEST(WorstCase, SingleTargetIsDeterministic) {
 
 TEST(ExecutionNoise, ZeroDeltaIsExact) {
   WcFixture s(8, 5, 2.0, 1.0);
-  std::vector<double> x = games::uniform_strategy(5, 2.0);
+  std::vector<double> x = games::CoverageSpace::simplex(5, 2.0).uniform_seed();
   Rng rng(1);
   auto rep = worst_case_under_execution_noise(s.ug.game, *s.bounds, x, 0.0,
                                               10, rng);
@@ -220,7 +220,7 @@ TEST(ExecutionNoise, ZeroDeltaIsExact) {
 
 TEST(ExecutionNoise, MinBelowMeanAndDegradesWithDelta) {
   WcFixture s(9, 6, 2.0, 1.0);
-  std::vector<double> x = games::uniform_strategy(6, 2.0);
+  std::vector<double> x = games::CoverageSpace::simplex(6, 2.0).uniform_seed();
   Rng rng(2);
   auto small = worst_case_under_execution_noise(s.ug.game, *s.bounds, x,
                                                 0.02, 200, rng);
@@ -235,7 +235,7 @@ TEST(ExecutionNoise, MinBelowMeanAndDegradesWithDelta) {
 
 TEST(ExecutionNoise, Validation) {
   WcFixture s(10, 3, 1.0, 1.0);
-  std::vector<double> x = games::uniform_strategy(3, 1.0);
+  std::vector<double> x = games::CoverageSpace::simplex(3, 1.0).uniform_seed();
   Rng rng(3);
   EXPECT_THROW(worst_case_under_execution_noise(s.ug.game, *s.bounds, x,
                                                 -0.1, 10, rng),
