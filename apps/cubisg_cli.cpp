@@ -51,13 +51,11 @@
 #include "games/generators.hpp"
 #include "learning/data_io.hpp"
 #include "learning/suqr_mle.hpp"
-#include "obs/audit_log.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/http_exporter.hpp"
+#include "obs/job_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/process_metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/solve_report.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -116,26 +114,26 @@ using namespace cubisg;
                "  --trace-out FILE     record phase spans; write Chrome\n"
                "                       trace JSON (chrome://tracing)\n"
                "  --listen PORT        serve GET /metrics (Prometheus),\n"
-               "                       /healthz, /solvez, /slowz and\n"
-               "                       /profilez?seconds=N while the\n"
+               "                       /healthz, /solvez, /slowz, /auditz\n"
+               "                       and /profilez?seconds=N while the\n"
                "                       command runs (0 = ephemeral port)\n"
                "  --listen-host ADDR   bind address (default 127.0.0.1)\n"
                "  --profile-out FILE   sample every solver thread's wall\n"
                "                       clock (99 Hz default) and write\n"
                "                       collapsed flamegraph stacks\n"
                "  --profile-hz N       sampling frequency for --profile-out\n"
-               "  --slow-solve-ms MS   arm the flight recorder: any solve\n"
-               "                       taking >= MS deposits a forensic\n"
-               "                       record (served at GET /slowz)\n"
-               "  --slow-solve-out FILE  write the flight-recorder ring as\n"
+               "  --slow-solve-ms MS   mark any solve taking >= MS slow:\n"
+               "                       its job record keeps phase totals\n"
+               "                       and budget state (GET /slowz)\n"
+               "  --slow-solve-out FILE  write the slow job records as\n"
                "                       JSON when the command exits\n"
                "  --audit-sample N     (serve/batch) shadow-audit every Nth\n"
                "                       completed solve on a low-priority\n"
                "                       worker; failures are served at GET\n"
                "                       /auditz and counted in\n"
                "                       audit.failures_total\n"
-               "  --audit-out FILE     write the audit-failure ring as JSON\n"
-               "                       when the command exits\n"
+               "  --audit-out FILE     write the audit-failed job records as\n"
+               "                       JSON when the command exits\n"
                "\nsolve budget (solve/patrol/serve; in serve mode the\n"
                "budget re-arms per request, acting as a watchdog):\n"
                "  --deadline-ms MS     wall-clock budget; on expiry the best\n"
@@ -452,34 +450,20 @@ int cmd_solve(const Args& args) {
   install_signal_handlers();
   core::DefenderSolution sol;
   obs::begin_phase_accounting();
-  const std::int64_t report_before =
-      obs::last_solve_report_on_this_thread().id;
   {
     BudgetRegistration reg(budget);
     sol = solver->solve({scenario.game.game, bounds, &budget,
                          /*workspace=*/nullptr, space_of(scenario)});
   }
-  // One-shot solves feed the flight recorder too (job_id 0): the same
-  // --slow-solve-ms forensics work without the engine.
+  // One-shot solves file a job-0 record like engine jobs do, so /solvez
+  // and the --slow-solve-ms forensics work without the engine.
   {
-    obs::FlightRecorder& recorder = obs::FlightRecorder::global();
-    if (recorder.armed() && sol.wall_seconds >= recorder.slo_seconds()) {
-      obs::FlightEntry entry;
-      entry.tag = args.file;
-      entry.solve_seconds = sol.wall_seconds;
-      entry.slo_seconds = recorder.slo_seconds();
-      entry.budget_deadline_seconds = budget.deadline_seconds();
-      entry.budget_nodes = budget.nodes_charged();
-      entry.budget_iterations = budget.iterations_charged();
-      entry.budget_cancelled = budget.cancel_requested();
-      entry.phases = obs::collect_phase_accounting();
-      obs::SolveReport report = obs::last_solve_report_on_this_thread();
-      if (report.id != report_before) {
-        entry.has_report = true;
-        entry.report = std::move(report);
-      }
-      recorder.record(std::move(entry));
-    }
+    engine::JobOutcome out;
+    out.tag = args.file;
+    out.status = engine::JobStatus::kCompleted;
+    out.solve_seconds = sol.wall_seconds;
+    out.solution = sol;
+    engine::record_job(out, budget, budget.deadline_seconds());
   }
   print_solution(scenario, sol, solver->name().c_str());
   if (is_budget_stop(sol.status)) {
@@ -1015,7 +999,7 @@ void reap_outcome(long index, const std::string& label,
 /// Solve loop that keeps the process alive for live scraping: solves the
 /// scenario repeatedly (forever with --solves 0) until SIGINT/SIGTERM,
 /// printing one convergence line per solve.  Pair with --listen so a
-/// Prometheus scraper sees the metrics and /solvez reports evolve.
+/// Prometheus scraper sees the metrics and /solvez job records evolve.
 ///
 /// Requests run on the concurrent engine (--workers N; default 1 keeps
 /// the old sequential behavior, including output order — outcomes are
@@ -1371,7 +1355,8 @@ struct TelemetryOutputs {
       }
     }
     if (!slow_path.empty()) {
-      if (!obs::FlightRecorder::global().write_json(slow_path)) {
+      if (!obs::JobLog::global().write_json(obs::JobView::kSlow,
+                                            slow_path)) {
         std::fprintf(stderr, "error: cannot write %s\n", slow_path.c_str());
         rc = 1;
       } else {
@@ -1380,7 +1365,8 @@ struct TelemetryOutputs {
       }
     }
     if (!audit_path.empty()) {
-      if (!obs::AuditLog::global().write_json(audit_path)) {
+      if (!obs::JobLog::global().write_json(obs::JobView::kFailedAudit,
+                                            audit_path)) {
         std::fprintf(stderr, "error: cannot write %s\n", audit_path.c_str());
         rc = 1;
       } else {
@@ -1414,10 +1400,12 @@ void maybe_start_exporter(obs::HttpExporter& exporter, const Args& args) {
                  exporter.last_error().c_str());
     std::exit(1);
   }
-  std::fprintf(stderr,
-               "telemetry: http://%s:%d/  (/metrics /healthz /solvez "
-               "/slowz /profilez)\n",
-               opt.bind_address.c_str(), exporter.port());
+  std::string paths;
+  for (const std::string& p : obs::http_exporter_paths()) {
+    paths += paths.empty() ? p : " " + p;
+  }
+  std::fprintf(stderr, "telemetry: http://%s:%d/  (%s)\n",
+               opt.bind_address.c_str(), exporter.port(), paths.c_str());
 }
 
 }  // namespace
@@ -1453,8 +1441,7 @@ int main(int argc, char** argv) {
     obs::set_trace_enabled(true);
   }
   if (args.flags.count("slow-solve-ms") != 0) {
-    obs::FlightRecorder::global().arm(args.get_d("slow-solve-ms", 0.0) *
-                                      1e-3);
+    obs::JobLog::global().arm(args.get_d("slow-solve-ms", 0.0) * 1e-3);
   }
   if (!g_telemetry.profile_path.empty()) {
     if (obs::profiler_available()) {

@@ -8,7 +8,7 @@
 // solver measured on the strategy it returned.  audit::verify()
 // (src/audit/verify.hpp) re-derives each claim from the SecurityGame +
 // AttractivenessBounds alone and compares — the two sides share nothing
-// but this struct, so the verifier can later referee parallel-B&B or
+// but this struct, so the verifier can referee cache-hit and
 // cache-transplant answers against cold solves.
 //
 // Header-only on purpose: core/solvers.hpp embeds a certificate in

@@ -3,7 +3,8 @@
 // serve/batch wire observe() into the engine's completion hook; every Nth
 // completed job gets a copy of its solution queued for the dedicated
 // audit worker, which runs audit::verify() and publishes the outcome
-// (audit.* metrics + the /auditz failure ring) via record_outcome().
+// (audit.* metrics + the verdict on the job's obs::JobLog record, failures
+// served at /auditz) via record_outcome().
 //
 // The hot path pays one relaxed counter increment per completed job and,
 // for sampled jobs only, one solution copy + queue push.  Verification

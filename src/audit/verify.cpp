@@ -10,7 +10,7 @@
 #include "common/timer.hpp"
 #include "core/worst_case.hpp"
 #include "games/coverage_space.hpp"
-#include "obs/audit_log.hpp"
+#include "obs/job_log.hpp"
 #include "obs/metrics.hpp"
 
 namespace cubisg::audit {
@@ -358,24 +358,22 @@ std::int64_t record_outcome(const AuditResult& result,
   if (result.max_residual > m.max_residual.value()) {
     m.max_residual.set(result.max_residual);
   }
-  if (result.ok()) return 0;
-  m.failures.add(1);
-  obs::AuditRecord rec;
-  rec.job_id = job_id;
-  rec.tag = tag;
-  rec.solver = solver;
-  rec.worst_code = audit_code_name(result.worst());
+  if (!result.ok()) m.failures.add(1);
+  obs::AuditVerdict verdict;
+  verdict.worst_code = audit_code_name(result.worst());
   for (const AuditFinding& f : result.findings) {
-    if (!rec.detail.empty()) rec.detail += "; ";
-    rec.detail += audit_code_name(f.code);
-    rec.detail += ": ";
-    rec.detail += f.detail;
+    if (!verdict.detail.empty()) verdict.detail += "; ";
+    verdict.detail += audit_code_name(f.code);
+    verdict.detail += ": ";
+    verdict.detail += f.detail;
   }
-  rec.findings = static_cast<int>(result.findings.size());
-  rec.max_residual = result.max_residual;
-  rec.recomputed_worst_case = result.recomputed_worst_case;
-  rec.verify_seconds = result.verify_seconds;
-  return obs::AuditLog::global().record(std::move(rec));
+  verdict.findings = static_cast<int>(result.findings.size());
+  verdict.max_residual = result.max_residual;
+  verdict.recomputed_worst_case = result.recomputed_worst_case;
+  verdict.verify_seconds = result.verify_seconds;
+  const std::int64_t id = obs::JobLog::global().attach_audit(
+      job_id, tag, solver, std::move(verdict));
+  return result.ok() ? 0 : id;
 }
 
 }  // namespace cubisg::audit

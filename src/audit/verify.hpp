@@ -13,8 +13,8 @@
 // kMalformedCertificate finding.  Bracket
 // and MILP evidence are checked for internal consistency and against the
 // recomputed value.  This is the audit primitive the shadow auditor
-// (audit/shadow.hpp), the `verify` CLI subcommand, and future
-// differential harnesses (parallel B&B, cache transplant) all share.
+// (audit/shadow.hpp), the `verify` CLI subcommand, and the family
+// differential tests (test_families) all share.
 #pragma once
 
 #include <cstdint>
@@ -99,9 +99,11 @@ AuditResult verify(const games::SecurityGame& game,
 
 /// Publishes a verify outcome: bumps audit.checks_total /
 /// audit.failures_total, keeps the audit.max_residual high-water gauge
-/// and the audit.verify_seconds histogram, and on failure deposits a
-/// record into obs::AuditLog::global() (served at GET /auditz).  Returns
-/// the AuditLog record id (0 when ok).
+/// and the audit.verify_seconds histogram, and attaches the verdict to
+/// the newest obs::JobLog record of `job_id`.  A failed verdict with no
+/// such record (evicted, or job_id 0 from a one-shot `verify`) is kept as
+/// an audit-only record; failed verdicts are served at GET /auditz.
+/// Returns the id of the record holding a failed verdict (0 when ok).
 std::int64_t record_outcome(const AuditResult& result,
                             const std::string& solver, std::uint64_t job_id,
                             const std::string& tag);

@@ -13,7 +13,6 @@
 #include "core/round_cache.hpp"
 #include "core/workspace.hpp"
 #include "obs/metrics.hpp"
-#include "obs/solve_report.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -358,9 +357,6 @@ DefenderSolution CubisSolver::solve(const SolveContext& ctx) const {
 
   int steps = 0;
   std::int64_t nodes = 0;
-  obs::SolveReport report;
-  report.solver = name();
-  report.targets = n;
   const int sections = std::max(1, opt_.parallel_sections);
   // Per-call scratch: the caller's long-lived workspace when provided
   // (reuse preserves allocation capacity only — every value a solve reads
@@ -526,7 +522,9 @@ DefenderSolution CubisSolver::solve(const SolveContext& ctx) const {
     if (lowest_infeasible < sections) {
       hi = cs[lowest_infeasible];
     }
-    report.trajectory.push_back(
+    // Certificate evidence: the bracket after every round, recorded
+    // unconditionally (the verifier checks the brackets nest).
+    sol.certificate.rounds.push_back(
         {lo, hi, feasible_count, sections - feasible_count});
     if (round_failure != SolverStatus::kOptimal) {
       final_status = round_failure;
@@ -603,10 +601,9 @@ DefenderSolution CubisSolver::solve(const SolveContext& ctx) const {
   sol.solver_objective = lo;
   sol.status = final_status;
   sol.telemetry = scope.finish();
-  // Bracket + per-round sign evidence for the independent verifier
-  // (audit::verify).  Rounds mirror the report trajectory, which records
-  // the bracket after each multisection round unconditionally — the base
-  // claims (residuals, claimed worst case) are filled by
+  // Bracket evidence for the independent verifier (audit::verify); the
+  // per-round sign evidence was pushed into cert.rounds round by round.
+  // The base claims (residuals, claimed worst case) are filled by
   // finalize_solution below, after which nothing may change.
   {
     audit::SolutionCertificate& cert = sol.certificate;
@@ -617,34 +614,8 @@ DefenderSolution CubisSolver::solve(const SolveContext& ctx) const {
     cert.segments = static_cast<int>(opt_.segments);
     cert.lb = lo;
     cert.ub = hi;
-    cert.rounds.reserve(report.trajectory.size());
-    for (const obs::BinarySearchRound& r : report.trajectory) {
-      cert.rounds.push_back({r.lo, r.hi, r.feasible, r.infeasible});
-    }
   }
   finalize_solution(ctx, sol, timer.seconds());
-  // Publish the convergence report (served live at GET /solvez).  The
-  // B&B/simplex totals come from the SolveScope delta, so concurrent
-  // solves attribute overlapping activity to each other, same caveat as
-  // DefenderSolution::telemetry.
-  report.status = std::string(to_string(sol.status));
-  report.budget_stop = is_budget_stop(sol.status);
-  if (ctx.budget != nullptr) {
-    report.deadline_seconds = ctx.budget->deadline_seconds();
-  }
-  report.wall_seconds = sol.wall_seconds;
-  report.lb = sol.lb;
-  report.ub = sol.ub;
-  report.worst_case_utility = sol.worst_case_utility;
-  report.binary_steps = steps;
-  report.milp_nodes = nodes;
-  report.feasibility_checks =
-      sol.telemetry.counter("cubis.feasibility_checks_total");
-  report.incumbent_updates =
-      sol.telemetry.counter("milp.incumbent_updates");
-  report.simplex_iters = sol.telemetry.counter("simplex.phase1_iters") +
-                         sol.telemetry.counter("simplex.phase2_iters");
-  obs::SolveReportBuffer::global().add(std::move(report));
   return sol;
 }
 

@@ -11,10 +11,9 @@
 #include "core/workspace.hpp"
 #include "engine/process_pool.hpp"
 #include "engine/supervisor.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/job_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/solve_report.hpp"
 #include "obs/trace.hpp"
 
 namespace cubisg::engine {
@@ -59,7 +58,77 @@ struct EngineMetrics {
 /// is observed within one poll period.
 constexpr auto kPollPeriod = 50ms;
 
+/// The job-log spelling of a job status.
+const char* to_string(JobStatus status) {
+  switch (status) {
+    case JobStatus::kCompleted:
+      return "completed";
+    case JobStatus::kFailed:
+      return "failed";
+    case JobStatus::kCancelled:
+      return "cancelled";
+    case JobStatus::kWorkerCrashed:
+      return "worker-crashed";
+    case JobStatus::kQuarantined:
+      return "quarantined";
+  }
+  return "unknown";
+}
+
 }  // namespace
+
+std::int64_t record_job(const JobOutcome& out, const SolveBudget& budget,
+                        double deadline_seconds) {
+  obs::JobRecord rec;
+  rec.job_id = out.id;
+  rec.tag = out.tag;
+  rec.job_status = to_string(out.status);
+  rec.worker = out.worker;
+  rec.attempts = out.attempts;
+  rec.cache = out.cache_hit          ? obs::CacheVerdict::kHit
+              : out.cache_transplant ? obs::CacheVerdict::kTransplant
+                                     : obs::CacheVerdict::kMiss;
+  rec.queue_seconds = out.queue_seconds;
+  rec.solve_seconds = out.solve_seconds;
+  rec.deadline_seconds = deadline_seconds;
+  if (out.status == JobStatus::kCompleted) {
+    const core::DefenderSolution& sol = out.solution;
+    rec.solver = sol.certificate.solver;
+    rec.has_solution = true;
+    rec.status = std::string(to_string(sol.status));
+    rec.budget_stop = is_budget_stop(sol.status);
+    rec.targets = sol.certificate.targets;
+    rec.wall_seconds = sol.wall_seconds;
+    rec.lb = sol.lb;
+    rec.ub = sol.ub;
+    rec.worst_case_utility = sol.worst_case_utility;
+    rec.binary_steps = sol.binary_steps;
+    rec.milp_nodes = sol.milp_nodes;
+    // B&B/simplex totals from the solve's SolveScope delta: concurrent
+    // solves attribute overlapping activity to each other, the same
+    // caveat as DefenderSolution::telemetry.
+    rec.feasibility_checks =
+        sol.telemetry.counter("cubis.feasibility_checks_total");
+    rec.incumbent_updates = sol.telemetry.counter("milp.incumbent_updates");
+    rec.simplex_iters = sol.telemetry.counter("simplex.phase1_iters") +
+                        sol.telemetry.counter("simplex.phase2_iters");
+    rec.trajectory.reserve(sol.certificate.rounds.size());
+    for (const audit::CertificateRound& r : sol.certificate.rounds) {
+      rec.trajectory.push_back({r.lo, r.hi, r.feasible, r.infeasible});
+    }
+  }
+  obs::JobLog& log = obs::JobLog::global();
+  if (!out.cache_hit && log.over_slo(out.solve_seconds)) {
+    EngineMetrics::get().slow_solves.add(1);
+    rec.slow = true;
+    rec.slo_seconds = log.slo_seconds();
+    rec.budget_nodes = budget.nodes_charged();
+    rec.budget_iterations = budget.iterations_charged();
+    rec.budget_cancelled = budget.cancel_requested();
+    rec.phases = obs::collect_phase_accounting();
+  }
+  return log.add(std::move(rec));
+}
 
 SolveEngine::SolveEngine(std::shared_ptr<const core::DefenderSolver> solver,
                          EngineOptions options)
@@ -226,147 +295,34 @@ void SolveEngine::run_worker(std::size_t index) {
     }
 
     // Cross-solve cache: one fingerprint per scenario-carrying job.  An
-    // exact hit skips the solve entirely; the outcome is re-stamped with
+    // exact hit skips the solve entirely; the outcome is stamped with
     // THIS job's id/tag/worker, so a cached result never resurfaces
     // under a stale identity (the --resume regression test pins this).
+    JobOutcome outcome;
     std::optional<core::Fingerprint> fp;
     std::shared_ptr<const core::TransplantSeed> seed;
     if (cache_ != nullptr && item.job.scenario != nullptr) {
       fp = core::fingerprint_scenario(*item.job.scenario,
                                       opt_.cache.solver_config);
-      core::DefenderSolution hit;
-      if (cache_->lookup_exact(*fp, hit)) {
-        JobOutcome outcome;
+      if (cache_->lookup_exact(*fp, outcome.solution)) {
         outcome.id = item.id;
         outcome.tag = item.job.tag;
         outcome.worker = index;
-        outcome.queue_seconds = queue_seconds;
         outcome.status = JobStatus::kCompleted;
-        outcome.solution = std::move(hit);
         outcome.cache_hit = true;
-        EngineMetrics::get().completed.add(1);
-        if (opt_.on_outcome) {
-          try {
-            opt_.on_outcome(item.job, outcome);
-          } catch (...) {
-          }
-        }
-        item.promise.set_value(std::move(outcome));
-        continue;
-      }
-      if (cache_->mode() == CacheMode::kTransplant) {
+      } else if (cache_->mode() == CacheMode::kTransplant) {
         seed = make_transplant_seed(cache_->nearest(*fp), *fp);
       }
     }
-
-    // Process-mode cache plumbing: the seed crosses the wire ahead of
-    // the job; a donor frame (stats + harvested tables) comes back after
-    // the result.  Thread mode uses the workspace fields directly.
-    const bool process_job =
-        supervisor_ != nullptr && item.job.scenario != nullptr;
-    CacheSeedFrame seed_frame;
-    const CacheSeedFrame* seed_frame_ptr = nullptr;
-    CacheDonorFrame donor_frame;
-    CacheDonorFrame* donor_frame_ptr = nullptr;
-    if (process_job && fp.has_value() &&
-        cache_->mode() == CacheMode::kTransplant) {
-      if (seed != nullptr) {
-        seed_frame.id = item.id;
-        seed_frame.tables = seed->donor->tables;
-        seed_frame.adopt = seed->adopt;
-        seed_frame_ptr = &seed_frame;
-      }
-      donor_frame_ptr = &donor_frame;
+    if (!outcome.cache_hit) {
+      outcome = solve_job(item, index, workspace, budget, fp, seed);
     }
+    outcome.queue_seconds = queue_seconds;
 
-    // Attempt loop: transient failures (numeric trouble, escaped
-    // non-deterministic exceptions, fault-injected faults) re-solve up
-    // to retry.max_attempts with capped backoff.  Worker-crash retries
-    // happen one level down, inside Supervisor::run_job.
-    JobOutcome outcome;
-    for (int attempt = 1;; ++attempt) {
-      outcome = process_job
-                    ? execute_process(item, index, budget, seed_frame_ptr,
-                                      donor_frame_ptr)
-                    : execute(item, index, workspace, budget, seed);
-      outcome.attempts = attempt;
-      outcome.queue_seconds = queue_seconds;
-      if (attempt >= opt_.retry.max_attempts || !retryable(outcome) ||
-          cancelled()) {
-        break;
-      }
-      EngineMetrics::get().retried.add(1);
-      CUBISG_LOG(LogLevel::kWarn)
-          << "engine: job " << item.id << " transient failure (attempt "
-          << attempt << "/" << opt_.retry.max_attempts << "): "
-          << (outcome.error.empty() ? "numeric issue" : outcome.error)
-          << "; retrying";
-      if (!backoff_before_retry(attempt)) break;
-    }
-
-    // Cache bookkeeping after the final attempt: transplant counters,
-    // donor harvest, insert.  Only clean optimal completions are cached
-    // (budget stops and numeric trouble are run-specific, not reusable).
-    if (cache_ != nullptr && fp.has_value()) {
-      bool transplant_used = false;
-      bool transplant_rejected = false;
-      std::shared_ptr<core::TransplantDonor> harvested;
-      const bool optimal = outcome.status == JobStatus::kCompleted &&
-                           outcome.solution.status == SolverStatus::kOptimal;
-      if (process_job) {
-        transplant_used = donor_frame.used && !donor_frame.rejected;
-        transplant_rejected = donor_frame.rejected;
-        if (optimal && donor_frame.has_tables) {
-          harvested = std::make_shared<core::TransplantDonor>();
-          harvested->tables = std::move(donor_frame.tables);
-        }
-      } else {
-        const core::TransplantStats& st = workspace.transplant_stats;
-        transplant_used = seed != nullptr && st.used && !st.rejected;
-        transplant_rejected = seed != nullptr && st.rejected;
-        if (optimal && cache_->mode() == CacheMode::kTransplant &&
-            workspace.tables_token != 0) {
-          harvested = std::make_shared<core::TransplantDonor>();
-          harvested->tables = workspace.tables;
-          // The MILP skeleton is only trustworthy when the lanes were
-          // rebuilt by this very solve (token 2) — see SolveWorkspace.
-          if (workspace.tables_token == 2 &&
-              !workspace.cubis_lanes.empty() &&
-              workspace.cubis_lanes[0]->milp != nullptr) {
-            const core::MilpStepCache& sk = *workspace.cubis_lanes[0]->milp;
-            harvested->has_skeleton = true;
-            harvested->skeleton_resources = item.job.game->resources();
-            // Donor-compatibility: the skeleton's budget and cap rows
-            // encode the polytope, so consumers adopt it only when their
-            // own polytope descriptor matches.
-            harvested->skeleton_space =
-                item.job.scenario != nullptr &&
-                        !item.job.scenario->coverage.is_default()
-                    ? item.job.scenario->coverage.descriptor()
-                    : std::string("simplex");
-            harvested->skeleton_model = sk.model();
-            harvested->skeleton_layout = sk.layout();
-            harvested->skeleton_rows = sk.rows();
-          }
-        }
-      }
-      if (transplant_used) {
-        cache_->count_transplant();
-        outcome.cache_transplant = true;
-      }
-      if (transplant_rejected) cache_->count_transplant_reject();
-      if (optimal) {
-        if (harvested != nullptr) {
-          harvested->blocks = fp->blocks;
-          harvested->compat = fp->compat;
-        }
-        cache_->insert(*fp, outcome.solution, std::move(harvested));
-      }
-      workspace.transplant_seed.reset();
-    }
-
-    // Terminal counting happens once per job, after retries, so the
-    // completed/failed totals match job counts exactly as before.
+    // Terminal point, once per job (after retries, cache hits included):
+    // count, file the job's record, notify the observer, then fulfil
+    // the future.  The record goes in before on_outcome so a shadow
+    // audit verdict always finds the job's record to attach to.
     switch (outcome.status) {
       case JobStatus::kCompleted:
         EngineMetrics::get().completed.add(1);
@@ -383,6 +339,7 @@ void SolveEngine::run_worker(std::size_t index) {
         EngineMetrics::get().failed.add(1);
         break;
     }
+    record_job(outcome, budget, deadline_for(item.job));
     if (opt_.on_outcome) {
       try {
         opt_.on_outcome(item.job, outcome);
@@ -392,6 +349,131 @@ void SolveEngine::run_worker(std::size_t index) {
     }
     item.promise.set_value(std::move(outcome));
   }
+}
+
+JobOutcome SolveEngine::solve_job(
+    Item& item, std::size_t index, core::SolveWorkspace& workspace,
+    SolveBudget& budget, const std::optional<core::Fingerprint>& fp,
+    const std::shared_ptr<const core::TransplantSeed>& seed) {
+  // Per-phase totals for a slow job's record cover every attempt on this
+  // thread (in process mode: the parent side only — the child's spans
+  // stay in the child).
+  obs::begin_phase_accounting();
+
+  // Process-mode cache plumbing: the seed crosses the wire ahead of
+  // the job; a donor frame (stats + harvested tables) comes back after
+  // the result.  Thread mode uses the workspace fields directly.
+  const bool process_job =
+      supervisor_ != nullptr && item.job.scenario != nullptr;
+  CacheSeedFrame seed_frame;
+  const CacheSeedFrame* seed_frame_ptr = nullptr;
+  CacheDonorFrame donor_frame;
+  CacheDonorFrame* donor_frame_ptr = nullptr;
+  if (process_job && fp.has_value() &&
+      cache_->mode() == CacheMode::kTransplant) {
+    if (seed != nullptr) {
+      seed_frame.id = item.id;
+      seed_frame.tables = seed->donor->tables;
+      seed_frame.adopt = seed->adopt;
+      seed_frame_ptr = &seed_frame;
+    }
+    donor_frame_ptr = &donor_frame;
+  }
+
+  // Attempt loop: transient failures (numeric trouble, escaped
+  // non-deterministic exceptions, fault-injected faults) re-solve up
+  // to retry.max_attempts with capped backoff.  Worker-crash retries
+  // happen one level down, inside Supervisor::run_job.
+  JobOutcome outcome;
+  for (int attempt = 1;; ++attempt) {
+    outcome = process_job
+                  ? execute_process(item, index, budget, seed_frame_ptr,
+                                    donor_frame_ptr)
+                  : execute(item, index, workspace, budget, seed);
+    outcome.attempts = attempt;
+    if (attempt >= opt_.retry.max_attempts || !retryable(outcome) ||
+        cancelled()) {
+      break;
+    }
+    EngineMetrics::get().retried.add(1);
+    CUBISG_LOG(LogLevel::kWarn)
+        << "engine: job " << item.id << " transient failure (attempt "
+        << attempt << "/" << opt_.retry.max_attempts << "): "
+        << (outcome.error.empty() ? "numeric issue" : outcome.error)
+        << "; retrying";
+    if (!backoff_before_retry(attempt)) break;
+  }
+
+  // Cache bookkeeping after the final attempt: transplant counters,
+  // donor harvest, insert.  Only clean optimal completions are cached
+  // (budget stops and numeric trouble are run-specific, not reusable).
+  if (cache_ != nullptr && fp.has_value()) {
+    bool transplant_used = false;
+    bool transplant_rejected = false;
+    std::shared_ptr<core::TransplantDonor> harvested;
+    const bool optimal = outcome.status == JobStatus::kCompleted &&
+                         outcome.solution.status == SolverStatus::kOptimal;
+    if (process_job) {
+      transplant_used = donor_frame.used && !donor_frame.rejected;
+      transplant_rejected = donor_frame.rejected;
+      if (optimal && donor_frame.has_tables) {
+        harvested = std::make_shared<core::TransplantDonor>();
+        harvested->tables = std::move(donor_frame.tables);
+      }
+    } else {
+      const core::TransplantStats& st = workspace.transplant_stats;
+      transplant_used = seed != nullptr && st.used && !st.rejected;
+      transplant_rejected = seed != nullptr && st.rejected;
+      if (optimal && cache_->mode() == CacheMode::kTransplant &&
+          workspace.tables_token != 0) {
+        harvested = std::make_shared<core::TransplantDonor>();
+        harvested->tables = workspace.tables;
+        // The MILP skeleton is only trustworthy when the lanes were
+        // rebuilt by this very solve (token 2) — see SolveWorkspace.
+        if (workspace.tables_token == 2 &&
+            !workspace.cubis_lanes.empty() &&
+            workspace.cubis_lanes[0]->milp != nullptr) {
+          const core::MilpStepCache& sk = *workspace.cubis_lanes[0]->milp;
+          harvested->has_skeleton = true;
+          harvested->skeleton_resources = item.job.game->resources();
+          // Donor-compatibility: the skeleton's budget and cap rows
+          // encode the polytope, so consumers adopt it only when their
+          // own polytope descriptor matches.
+          harvested->skeleton_space =
+              item.job.scenario != nullptr &&
+                      !item.job.scenario->coverage.is_default()
+                  ? item.job.scenario->coverage.descriptor()
+                  : std::string("simplex");
+          harvested->skeleton_model = sk.model();
+          harvested->skeleton_layout = sk.layout();
+          harvested->skeleton_rows = sk.rows();
+        }
+      }
+    }
+    if (transplant_used) {
+      cache_->count_transplant();
+      outcome.cache_transplant = true;
+    }
+    if (transplant_rejected) cache_->count_transplant_reject();
+    if (optimal) {
+      if (harvested != nullptr) {
+        harvested->blocks = fp->blocks;
+        harvested->compat = fp->compat;
+      }
+      cache_->insert(*fp, outcome.solution, std::move(harvested));
+    }
+    workspace.transplant_seed.reset();
+  }
+  return outcome;
+}
+
+double SolveEngine::deadline_for(const SolveJob& job) const {
+  return job.deadline_seconds > 0.0 ? job.deadline_seconds
+                                    : opt_.default_deadline_seconds;
+}
+
+std::int64_t SolveEngine::max_nodes_for(const SolveJob& job) const {
+  return job.max_nodes > 0 ? job.max_nodes : opt_.default_max_nodes;
 }
 
 bool SolveEngine::retryable(const JobOutcome& outcome) const {
@@ -426,16 +508,11 @@ JobOutcome SolveEngine::execute_process(Item& item, std::size_t index,
   // the supervisor adds the non-cooperative SIGKILL backstop.
   budget.reset();
   if (cancelled()) budget.request_cancel();
-  const double deadline = item.job.deadline_seconds > 0.0
-                              ? item.job.deadline_seconds
-                              : opt_.default_deadline_seconds;
-  const std::int64_t max_nodes =
-      item.job.max_nodes > 0 ? item.job.max_nodes : opt_.default_max_nodes;
   obs::TraceJobScope job_scope(item.id);
   obs::TraceSpan span("engine.execute");
-  JobOutcome out =
-      supervisor_->run_job(index, item.job, item.id, deadline, max_nodes,
-                           budget, cancelled_, cache_seed, cache_donor);
+  JobOutcome out = supervisor_->run_job(
+      index, item.job, item.id, deadline_for(item.job),
+      max_nodes_for(item.job), budget, cancelled_, cache_seed, cache_donor);
   if (out.status == JobStatus::kCompleted) {
     EngineMetrics::get().solve_latency.record(out.solve_seconds);
   } else if (!out.error.empty()) {
@@ -456,12 +533,9 @@ JobOutcome SolveEngine::execute(
   out.queue_seconds = item.queued.seconds();
 
   budget.reset();
-  const double deadline = item.job.deadline_seconds > 0.0
-                              ? item.job.deadline_seconds
-                              : opt_.default_deadline_seconds;
+  const double deadline = deadline_for(item.job);
   if (deadline > 0.0) budget.set_deadline_after(deadline);
-  const std::int64_t max_nodes =
-      item.job.max_nodes > 0 ? item.job.max_nodes : opt_.default_max_nodes;
+  const std::int64_t max_nodes = max_nodes_for(item.job);
   if (max_nodes > 0) budget.set_node_limit(max_nodes);
   // Close the reset race: a cancel_all between reset() and here must
   // still trip this job's budget.
@@ -474,12 +548,9 @@ JobOutcome SolveEngine::execute(
   workspace.transplant_stats = {};
   workspace.tables_token = 0;
 
-  // Everything the solver records during this job — nested spans, the
-  // published SolveReport — is attributable to this job id.
+  // Every span the solver closes during this job is attributable to
+  // this job id.
   obs::TraceJobScope job_scope(item.id);
-  obs::begin_phase_accounting();
-  const std::int64_t report_before =
-      obs::last_solve_report_on_this_thread().id;
 
   Timer solve_timer;
   {
@@ -516,28 +587,6 @@ JobOutcome SolveEngine::execute(
     }
   }
 
-  obs::FlightRecorder& recorder = obs::FlightRecorder::global();
-  if (recorder.armed() && out.solve_seconds >= recorder.slo_seconds()) {
-    EngineMetrics::get().slow_solves.add(1);
-    obs::FlightEntry entry;
-    entry.job_id = out.id;
-    entry.tag = out.tag;
-    entry.worker = index;
-    entry.queue_seconds = out.queue_seconds;
-    entry.solve_seconds = out.solve_seconds;
-    entry.slo_seconds = recorder.slo_seconds();
-    entry.budget_deadline_seconds = budget.deadline_seconds();
-    entry.budget_nodes = budget.nodes_charged();
-    entry.budget_iterations = budget.iterations_charged();
-    entry.budget_cancelled = budget.cancel_requested();
-    entry.phases = obs::collect_phase_accounting();
-    obs::SolveReport report = obs::last_solve_report_on_this_thread();
-    if (report.id != report_before) {
-      entry.has_report = true;
-      entry.report = std::move(report);
-    }
-    recorder.record(std::move(entry));
-  }
   return out;
 }
 

@@ -31,7 +31,7 @@
 //   engine.jobs_cancelled_total        drained without starting
 //   engine.solve_latency               histogram of solve wall seconds
 //   engine.queue_wait_seconds          histogram, admission -> pickup
-//   engine.slow_solves_total           solves over the flight-recorder SLO
+//   engine.slow_solves_total           solves over the job log's armed SLO
 //   engine.jobs_retried_total          transient-failure re-attempts
 //   engine.jobs_quarantined_total      jobs that kept crashing workers
 //   engine.worker_crashes_total        worker processes that died mid-job
@@ -54,10 +54,15 @@
 // admission -> pickup and an "engine.execute" span around the solve, and
 // every nested solver span (cubis.*, milp.*, lp.*) closed during the job
 // is tagged with the id (TraceJobScope), so a merged multi-worker Chrome
-// trace can be filtered to one job across its whole lifetime.  Slow jobs
-// (wall time >= the armed FlightRecorder SLO) additionally deposit a
-// forensic FlightEntry — SolveReport, per-phase totals, budget state —
-// into obs::FlightRecorder::global() (served at GET /slowz).
+// trace can be filtered to one job across its whole lifetime.
+//
+// Per-job records: every job that reaches the terminal point (any status
+// except jobs drained as kCancelled without starting) files exactly one
+// obs::JobRecord into obs::JobLog::global() via record_job() — thread and
+// process isolation, retried jobs and cache hits alike — before
+// on_outcome fires.  Jobs whose solve met the log's armed SLO are marked
+// slow and carry per-phase totals and budget state (served at GET /slowz;
+// in process mode the phases cover only the parent side of the job).
 #pragma once
 
 #include <atomic>
@@ -138,8 +143,8 @@ struct EngineOptions {
   double kill_grace_seconds = 1.0;
   /// Invoked on the worker thread after a job's final outcome is built
   /// (any status except jobs drained as kCancelled without starting) —
-  /// once per job, after retries — before the future is fulfilled.
-  /// serve/batch wire the shadow auditor's observe() here.  Must be
+  /// once per job, after retries — after the job's record is filed in
+  /// obs::JobLog and before the future is fulfilled.  serve/batch wire the shadow auditor's observe() here.  Must be
   /// cheap; exceptions are swallowed — the engine stays audit-free,
   /// observers are advisory.  Null = disabled.
   std::function<void(const SolveJob&, const JobOutcome&)> on_outcome;
@@ -211,6 +216,16 @@ struct JobOutcome {
   bool cache_transplant = false;
 };
 
+/// Builds the job's obs::JobRecord — identity, fate, cache verdict, the
+/// returned solution's summary and certificate rounds — and files it into
+/// obs::JobLog::global(); returns the record id.  When the job ran a
+/// solve that met the log's armed SLO, the record is marked slow, gets
+/// the calling thread's phase totals and `budget`'s state, and
+/// engine.slow_solves_total advances.  The engine calls this once per job
+/// at its terminal point; the CLI's one-shot `solve` calls it for job 0.
+std::int64_t record_job(const JobOutcome& outcome, const SolveBudget& budget,
+                        double deadline_seconds);
+
 /// The engine.  Construction starts the workers; destruction (or
 /// shutdown()) drains the queue and joins them.
 class SolveEngine {
@@ -276,6 +291,12 @@ class SolveEngine {
   };
 
   void run_worker(std::size_t index);
+  /// The solve path of one job: attempts (with retries) on the worker
+  /// thread or its child process, then the cache bookkeeping.
+  JobOutcome solve_job(
+      Item& item, std::size_t index, core::SolveWorkspace& workspace,
+      SolveBudget& budget, const std::optional<core::Fingerprint>& fp,
+      const std::shared_ptr<const core::TransplantSeed>& seed);
   JobOutcome execute(Item& item, std::size_t index,
                      core::SolveWorkspace& workspace, SolveBudget& budget,
                      const std::shared_ptr<const core::TransplantSeed>& seed);
@@ -283,6 +304,9 @@ class SolveEngine {
                              SolveBudget& budget,
                              const CacheSeedFrame* cache_seed,
                              CacheDonorFrame* cache_donor);
+  /// The job's own budget, else the engine default (0 = none).
+  double deadline_for(const SolveJob& job) const;
+  std::int64_t max_nodes_for(const SolveJob& job) const;
   /// True when `outcome` is worth another attempt under the retry policy.
   bool retryable(const JobOutcome& outcome) const;
   /// Sleeps the capped, jittered backoff before attempt `attempt` + 1;

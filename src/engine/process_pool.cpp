@@ -340,7 +340,6 @@ bool decode_error(const std::string& payload, ErrorFrame& out) {
 #include "common/fault_inject.hpp"
 #include "common/log.hpp"
 #include "core/workspace.hpp"
-#include "obs/solve_report.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -615,17 +614,17 @@ WorkerProcess spawn_worker(std::shared_ptr<const core::DefenderSolver> solver,
   }
   // Fork guard: take every global mutex the child could conceivably need
   // (logging, fault-injection table, metrics-name registration, the
-  // solve-report ring, the global thread pool) in a fixed order, fork,
-  // then release on both sides.  Without this a mutex held by some other
-  // parent thread at fork() is locked forever in the child.
+  // global thread pool) in a fixed order, fork, then release on both
+  // sides.  Without this a mutex held by some other parent thread at
+  // fork() is locked forever in the child.  The job log is deliberately
+  // absent: nothing reachable from worker_child_main touches it (the
+  // parent records every isolated job when its outcome arrives).
   log_detail::fork_lock();
   faultinject::fork_lock();
   ThreadPool::fork_prepare();
   obs::Registry::global().fork_lock();
-  obs::SolveReportBuffer::global().fork_lock();
   const pid_t pid = ::fork();
   if (pid == 0) {
-    obs::SolveReportBuffer::global().fork_unlock();
     obs::Registry::global().fork_unlock();
     ThreadPool::fork_child();  // inherited pool: degrade to inline execution
     faultinject::fork_unlock();
@@ -639,7 +638,6 @@ WorkerProcess spawn_worker(std::shared_ptr<const core::DefenderSolver> solver,
     }
     worker_child_main(sv[1], *solver);
   }
-  obs::SolveReportBuffer::global().fork_unlock();
   obs::Registry::global().fork_unlock();
   ThreadPool::fork_parent();
   faultinject::fork_unlock();

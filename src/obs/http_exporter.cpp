@@ -1,6 +1,18 @@
 #include "obs/http_exporter.hpp"
 
 #include "obs/metrics.hpp"
+#include "obs/status_page.hpp"
+
+namespace cubisg::obs {
+
+std::vector<std::string> http_exporter_paths() {
+  std::vector<std::string> paths = {"/metrics", "/healthz", "/solvez",
+                                    "/slowz",   "/auditz",  "/profilez"};
+  for (std::string& p : status_page_paths()) paths.push_back(std::move(p));
+  return paths;
+}
+
+}  // namespace cubisg::obs
 
 #if defined(__unix__) || defined(__APPLE__)
 #define CUBISG_HTTP_EXPORTER 1
@@ -24,13 +36,10 @@
 #include <thread>
 
 #include "common/build_info.hpp"
-#include "obs/audit_log.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/job_log.hpp"
 #include "obs/process_metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/prometheus.hpp"
-#include "obs/solve_report.hpp"
-#include "obs/status_page.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace cubisg::obs {
@@ -188,13 +197,13 @@ void handle_connection(int fd) {
     send_response(fd, "200 OK", "text/plain", "ok\n");
   } else if (target == "/solvez") {
     send_response(fd, "200 OK", "application/json",
-                  SolveReportBuffer::global().to_json());
+                  JobLog::global().to_json(JobView::kAll));
   } else if (target == "/slowz") {
     send_response(fd, "200 OK", "application/json",
-                  FlightRecorder::global().to_json());
+                  JobLog::global().to_json(JobView::kSlow));
   } else if (target == "/auditz") {
     send_response(fd, "200 OK", "application/json",
-                  AuditLog::global().to_json());
+                  JobLog::global().to_json(JobView::kFailedAudit));
   } else if (target == "/profilez") {
     handle_profilez(fd, query_string);
   } else {
@@ -205,12 +214,8 @@ void handle_connection(int fd) {
     if (render_status_page(target, content_type, body)) {
       send_response(fd, "200 OK", content_type.c_str(), body);
     } else {
-      std::string hint =
-          "unknown path (try /metrics, /healthz, /solvez, /slowz, "
-          "/auditz, /profilez?seconds=N";
-      for (const std::string& p : status_page_paths()) {
-        hint += ", " + p;
-      }
+      std::string hint = "unknown path (try";
+      for (const std::string& p : http_exporter_paths()) hint += " " + p;
       hint += ")\n";
       send_response(fd, "404 Not Found", "text/plain", hint);
     }

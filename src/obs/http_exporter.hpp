@@ -3,8 +3,9 @@
 //   GET /metrics  -> Prometheus text exposition of the global registry
 //                    (refreshes the process_* self-metrics per scrape)
 //   GET /healthz  -> 200 "ok" while the process is alive
-//   GET /solvez   -> JSON ring of recent per-solve convergence reports
-//   GET /slowz    -> JSON ring of slow-solve flight-recorder entries
+//   GET /solvez   -> JSON: every retained per-job record (obs/job_log.hpp)
+//   GET /slowz    -> JSON: the records whose solve met the armed SLO
+//   GET /auditz   -> JSON: the records whose audit verdict failed
 //   GET /profilez?seconds=N -> collapsed flamegraph stacks from an
 //                    N-second (default 5, max 60) on-demand sampling
 //                    session; snapshots a live --profile-out session
@@ -24,12 +25,18 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace cubisg::obs {
 
 /// True when the server was compiled in (POSIX target); when false,
 /// start() always fails.
 bool http_exporter_available();
+
+/// Every path the server answers: the built-in endpoints, then the
+/// status pages registered so far (obs/status_page.hpp).  The 404 hint
+/// and the CLI's --listen banner both print this list.
+std::vector<std::string> http_exporter_paths();
 
 struct HttpExporterOptions {
   std::string bind_address = "127.0.0.1";

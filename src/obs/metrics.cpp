@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -11,7 +9,12 @@
 #include <stdexcept>
 #include <thread>
 
+#include "obs/json.hpp"
+
 namespace cubisg::obs {
+
+using detail::append_double;
+using detail::append_escaped;
 
 namespace {
 
@@ -25,17 +28,6 @@ std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Formats a double for JSON (no NaN/Inf — clamp to null-safe values).
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
 }
 
 }  // namespace
@@ -276,9 +268,8 @@ std::string MetricsSnapshot::to_json() const {
   for (const CounterSnapshot& c : counters) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    out += c.name;
-    out += "\":";
+    append_escaped(out, c.name);
+    out += ':';
     out += std::to_string(c.value);
   }
   out += "},\"gauges\":{";
@@ -286,9 +277,8 @@ std::string MetricsSnapshot::to_json() const {
   for (const GaugeSnapshot& g : gauges) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    out += g.name;
-    out += "\":";
+    append_escaped(out, g.name);
+    out += ':';
     append_double(out, g.value);
   }
   out += "},\"histograms\":{";
@@ -296,9 +286,8 @@ std::string MetricsSnapshot::to_json() const {
   for (const HistogramSnapshot& h : histograms) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    out += h.name;
-    out += "\":{\"bounds\":[";
+    append_escaped(out, h.name);
+    out += ":{\"bounds\":[";
     for (std::size_t b = 0; b < h.bounds.size(); ++b) {
       if (b) out += ',';
       append_double(out, h.bounds[b]);

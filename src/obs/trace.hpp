@@ -22,9 +22,9 @@
 //
 //  * Phase accounting.  Independently of full trace collection, a thread
 //    can accumulate per-name span totals into a small thread-local table
-//    (begin_phase_accounting / collect_phase_accounting).  The flight
-//    recorder uses this to attach a per-phase breakdown to slow solves
-//    without paying for whole-process trace buffers.
+//    (begin_phase_accounting / collect_phase_accounting).  The job log
+//    (obs/job_log.hpp) uses this to attach a per-phase breakdown to slow
+//    jobs without paying for whole-process trace buffers.
 #pragma once
 
 #include <cstdint>

@@ -8,22 +8,12 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace cubisg::obs {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }  // control characters dropped; span names are ASCII identifiers
-  }
-}
 
 void append_us(std::string& out, std::int64_t ns) {
   // Microseconds with nanosecond precision kept as decimals.
@@ -51,9 +41,9 @@ std::string trace_to_chrome_json() {
   for (const TraceEvent& e : events) {
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":\"";
-    append_escaped(out, e.name);
-    out += "\",\"cat\":\"cubisg\",\"ph\":\"X\",\"pid\":0,\"tid\":";
+    out += "{\"name\":";
+    detail::append_escaped(out, e.name);
+    out += ",\"cat\":\"cubisg\",\"ph\":\"X\",\"pid\":0,\"tid\":";
     out += std::to_string(e.tid);
     out += ",\"ts\":";
     append_us(out, e.start_ns);
@@ -72,12 +62,7 @@ std::string trace_to_chrome_json() {
 }
 
 bool write_trace_json(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = trace_to_chrome_json();
-  const bool ok =
-      std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  return detail::write_file(path, trace_to_chrome_json());
 }
 
 }  // namespace cubisg::obs

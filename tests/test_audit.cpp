@@ -24,7 +24,7 @@
 #include "core/worst_case.hpp"
 #include "engine/engine.hpp"
 #include "games/generators.hpp"
-#include "obs/audit_log.hpp"
+#include "obs/job_log.hpp"
 #include "obs/metrics.hpp"
 
 namespace cubisg::audit {
@@ -213,10 +213,10 @@ TEST(FaultSites, CorruptCertificateSiteIsMalformed) {
       << result.to_json();
 }
 
-// ---- record_outcome: metrics + the /auditz ring ------------------------
+// ---- record_outcome: metrics + the job log's /auditz view ---------------
 
-TEST(RecordOutcome, FailuresLandInMetricsAndAuditLog) {
-  obs::AuditLog::global().clear();
+TEST(RecordOutcome, FailuresLandInMetricsAndTheAuditView) {
+  obs::JobLog::global().clear();
   Fixture fx = make_fixture(112);
   core::DefenderSolution sol = solve_with("cubis", fx);
   ASSERT_TRUE(sol.ok());
@@ -241,35 +241,40 @@ TEST(RecordOutcome, FailuresLandInMetricsAndAuditLog) {
   EXPECT_GE(obs::Registry::global().gauge("audit.max_residual").value(),
             bad.max_residual);
 
-  const auto records = obs::AuditLog::global().recent();
-  ASSERT_EQ(records.size(), 1u);  // only the failure is retained
+  // Neither job has a record in the log, so only the failure is kept
+  // (as an audit-only record); the clean verdict is dropped.
+  const auto records = obs::JobLog::global().recent();
+  ASSERT_EQ(records.size(), 1u);
+  ASSERT_TRUE(records.back().audit.has_value());
   EXPECT_EQ(records.back().id, id);
   EXPECT_EQ(records.back().job_id, 8u);
   EXPECT_EQ(records.back().tag, "corrupted");
   EXPECT_EQ(records.back().solver, "cubis");
-  EXPECT_EQ(records.back().worst_code, "worst-case-mismatch");
-  EXPECT_GT(records.back().findings, 0);
-  obs::AuditLog::global().clear();
+  EXPECT_EQ(records.back().audit->worst_code, "worst-case-mismatch");
+  EXPECT_GT(records.back().audit->findings, 0);
+  obs::JobLog::global().clear();
 }
 
-TEST(AuditLogRing, EvictsOldestAndKeepsTotals) {
-  obs::AuditLog log(3);
+TEST(JobLog, AuditViewEvictsOldestAndKeepsTotals) {
+  obs::JobLog log(3);
+  obs::AuditVerdict bad;
+  bad.worst_code = "bracket-violated";
+  bad.findings = 1;
   for (int i = 0; i < 5; ++i) {
-    obs::AuditRecord rec;
-    rec.tag = "r" + std::to_string(i);
-    EXPECT_EQ(log.record(std::move(rec)), i + 1);
+    EXPECT_EQ(log.attach_audit(0, "r" + std::to_string(i), "cubis", bad),
+              i + 1);
   }
   EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.total_recorded(), 5);
-  const auto recent = log.recent();
+  EXPECT_EQ(log.total(obs::JobView::kFailedAudit), 5);
+  const auto recent = log.recent(obs::JobView::kFailedAudit);
   ASSERT_EQ(recent.size(), 3u);  // oldest first, ids 3..5 survive
   EXPECT_EQ(recent[0].tag, "r2");
   EXPECT_EQ(recent[2].tag, "r4");
-  const std::string json = log.to_json();
+  const std::string json = log.to_json(obs::JobView::kFailedAudit);
   EXPECT_NE(json.find("\"total\":5"), std::string::npos) << json;
   log.clear();
   EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.total_recorded(), 5);  // totals survive a clear
+  EXPECT_EQ(log.total(obs::JobView::kFailedAudit), 5);  // survive a clear
 }
 
 // ---- the shadow auditor ------------------------------------------------
@@ -346,7 +351,7 @@ TEST(ShadowAuditor, ConcurrentEngineCompletionHook) {
 
 TEST(ShadowAuditor, DetectsInjectedCorruptionThroughTheEngine) {
   if (!faultinject::compiled_in()) GTEST_SKIP();
-  obs::AuditLog::global().clear();
+  obs::JobLog::global().clear();
   Fixture fx = make_fixture(115);
   auto fx_sp = std::make_shared<Fixture>(std::move(fx));
   auto game_sp =
@@ -384,17 +389,23 @@ TEST(ShadowAuditor, DetectsInjectedCorruptionThroughTheEngine) {
   auditor.stop();
   EXPECT_EQ(auditor.audited(), 3u);
   EXPECT_EQ(auditor.failures(), 1u);
-  // The failure reached the /auditz ring with its typed verdict.
-  const auto records = obs::AuditLog::global().recent();
+  // Every job filed one record; the failed verdict landed on the first
+  // job's record, which is the only one in the /auditz view.
+  EXPECT_EQ(obs::JobLog::global().recent().size(), 3u);
+  const auto records =
+      obs::JobLog::global().recent(obs::JobView::kFailedAudit);
   ASSERT_EQ(records.size(), 1u);
+  ASSERT_TRUE(records.back().audit.has_value());
+  EXPECT_EQ(records.back().job_id, 1u);
+  EXPECT_EQ(records.back().job_status, "completed");
   // The +0.4 kick either breaks the value claim or (when the budget was
   // tight) overshoots it; either refutation proves detection.
-  EXPECT_TRUE(records.back().worst_code == "worst-case-mismatch" ||
-              records.back().worst_code == "infeasible-strategy")
-      << records.back().worst_code;
+  EXPECT_TRUE(records.back().audit->worst_code == "worst-case-mismatch" ||
+              records.back().audit->worst_code == "infeasible-strategy")
+      << records.back().audit->worst_code;
   // The registry alias "cubis" resolves to the DP-backend solver.
   EXPECT_EQ(records.back().solver, "cubis-dp");
-  obs::AuditLog::global().clear();
+  obs::JobLog::global().clear();
 }
 
 }  // namespace

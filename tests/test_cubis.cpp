@@ -9,7 +9,6 @@
 #include "behavior/bounds.hpp"
 #include "common/rng.hpp"
 #include "core/cubis.hpp"
-#include "obs/solve_report.hpp"
 #include "obs/metrics.hpp"
 #include "core/gradient.hpp"
 #include "core/maximin.hpp"
@@ -350,9 +349,9 @@ TEST(Cubis, MultisectionMatchesBisection) {
   }
 }
 
+// The convergence report is the solution certificate: one round per
+// multisection step, nested brackets ending at the solution's [lb, ub].
 TEST(Cubis, SolvePublishesConvergenceReport) {
-  obs::SolveReportBuffer& buffer = obs::SolveReportBuffer::global();
-  const std::int64_t before = buffer.total_recorded();
   Fixture f(81, 6, 2.0, 1.0);
   CubisOptions opt;
   opt.segments = 10;
@@ -361,30 +360,27 @@ TEST(Cubis, SolvePublishesConvergenceReport) {
   DefenderSolution sol = solver.solve(f.ctx());
   ASSERT_TRUE(sol.ok());
 
-  EXPECT_EQ(buffer.total_recorded(), before + 1);
-  const std::vector<obs::SolveReport> recent = buffer.recent();
-  ASSERT_FALSE(recent.empty());
-  const obs::SolveReport& report = recent.back();
-  EXPECT_EQ(report.solver, solver.name());
-  EXPECT_EQ(report.status, "optimal");
-  EXPECT_EQ(report.targets, 6u);
-  EXPECT_DOUBLE_EQ(report.lb, sol.lb);
-  EXPECT_DOUBLE_EQ(report.ub, sol.ub);
-  EXPECT_DOUBLE_EQ(report.worst_case_utility, sol.worst_case_utility);
-  EXPECT_EQ(report.binary_steps, sol.binary_steps);
-  EXPECT_GE(report.wall_seconds, 0.0);
-  EXPECT_GT(report.feasibility_checks, 0);
+  const audit::SolutionCertificate& cert = sol.certificate;
+  EXPECT_EQ(cert.solver, solver.name());
+  EXPECT_TRUE(cert.bracket_converged);
+  EXPECT_EQ(cert.targets, 6u);
+  EXPECT_DOUBLE_EQ(cert.lb, sol.lb);
+  EXPECT_DOUBLE_EQ(cert.ub, sol.ub);
+  EXPECT_DOUBLE_EQ(cert.claimed_worst_case, sol.worst_case_utility);
+  EXPECT_GE(sol.wall_seconds, 0.0);
+  EXPECT_GT(sol.telemetry.counter("cubis.feasibility_checks_total"), 0);
   // The trajectory shrinks the bracket monotonically down to the final
   // lb/ub, and every round classifies at least one candidate threshold.
-  ASSERT_FALSE(report.trajectory.empty());
-  double last_gap = report.trajectory.front().gap();
-  for (const obs::BinarySearchRound& round : report.trajectory) {
+  ASSERT_FALSE(cert.rounds.empty());
+  EXPECT_EQ(cert.rounds.size(), static_cast<std::size_t>(sol.binary_steps));
+  double last_gap = cert.rounds.front().hi - cert.rounds.front().lo;
+  for (const audit::CertificateRound& round : cert.rounds) {
     EXPECT_GE(round.feasible + round.infeasible, 1);
-    EXPECT_LE(round.gap(), last_gap + 1e-12);
-    last_gap = round.gap();
+    EXPECT_LE(round.hi - round.lo, last_gap + 1e-12);
+    last_gap = round.hi - round.lo;
   }
-  EXPECT_DOUBLE_EQ(report.trajectory.back().lo, sol.lb);
-  EXPECT_DOUBLE_EQ(report.trajectory.back().hi, sol.ub);
+  EXPECT_DOUBLE_EQ(cert.rounds.back().lo, sol.lb);
+  EXPECT_DOUBLE_EQ(cert.rounds.back().hi, sol.ub);
 }
 
 TEST(Cubis, NamesReflectBackend) {

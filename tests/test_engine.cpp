@@ -21,7 +21,7 @@
 #include "core/cubis.hpp"
 #include "engine/engine.hpp"
 #include "games/generators.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/job_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -374,18 +374,19 @@ TEST(Engine, TraceEventsKeyedByJobIdAcrossWorkers) {
   obs::clear_trace();
 }
 
-// Flight recorder: with a 0-second SLO armed, every engine solve is
-// "slow" — entries carry the job id, worker, phase breakdown and the
-// solver's published report, and the slow-solve counter advances.
-TEST(Engine, FlightRecorderCapturesSlowSolves) {
+// Slow jobs: with a 0-second SLO armed, every engine solve is "slow" —
+// the job's one record lands in the /slowz view carrying the job id,
+// worker, phase breakdown and the solution summary, and the slow-solve
+// counter advances.
+TEST(Engine, SlowJobsLandInTheSlowView) {
   const Instance inst = make_instance(4002, 10, 3.0, 1.0);
   core::CubisOptions opt;
   opt.segments = 5;
   auto solver = std::make_shared<core::CubisSolver>(opt);
 
-  obs::FlightRecorder& rec = obs::FlightRecorder::global();
-  rec.clear();
-  rec.arm(0.0);  // every solve meets the SLO threshold
+  obs::JobLog& log = obs::JobLog::global();
+  log.clear();
+  log.arm(0.0);  // every solve meets the SLO threshold
   const std::int64_t slow_before = obs::Registry::global()
                                        .counter("engine.slow_solves_total")
                                        .value();
@@ -399,23 +400,24 @@ TEST(Engine, FlightRecorderCapturesSlowSolves) {
     job_id = out.id;
     eng.shutdown();
   }
-  rec.disarm();
+  log.disarm();
 
   EXPECT_EQ(obs::Registry::global()
                 .counter("engine.slow_solves_total")
                 .value(),
             slow_before + 1);
-  const std::vector<obs::FlightEntry> entries = rec.recent();
+  const std::vector<obs::JobRecord> entries = log.recent(obs::JobView::kSlow);
   ASSERT_EQ(entries.size(), 1u);
-  const obs::FlightEntry& entry = entries.front();
+  const obs::JobRecord& entry = entries.front();
   EXPECT_EQ(entry.job_id, job_id);
   EXPECT_EQ(entry.tag, "flight-test");
   EXPECT_GT(entry.solve_seconds, 0.0);
   EXPECT_DOUBLE_EQ(entry.slo_seconds, 0.0);
-  EXPECT_TRUE(entry.has_report);
-  EXPECT_EQ(entry.report.solver, "cubis-dp");
+  EXPECT_TRUE(entry.has_solution);
+  EXPECT_EQ(entry.solver, "cubis-dp");
+  EXPECT_FALSE(entry.trajectory.empty());
   EXPECT_FALSE(entry.phases.empty());
-  rec.clear();
+  log.clear();
 }
 
 }  // namespace

@@ -15,14 +15,12 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/audit_log.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/http_exporter.hpp"
+#include "obs/job_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/process_metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/prometheus.hpp"
-#include "obs/solve_report.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
@@ -195,15 +193,16 @@ TEST_F(HttpExporterFixture, MetricsIgnoresQueryString) {
 }
 
 TEST_F(HttpExporterFixture, SolvezServesReportJson) {
-  obs::SolveReportBuffer& buffer = obs::SolveReportBuffer::global();
-  obs::SolveReport report;
+  obs::JobRecord report;
+  report.job_status = "completed";
   report.solver = "http-test-solver";
+  report.has_solution = true;
   report.status = "optimal";
   report.targets = 9;
   report.lb = 1.25;
   report.ub = 1.5;
   report.trajectory.push_back({1.25, 1.5, 1, 2});
-  buffer.add(std::move(report));
+  obs::JobLog::global().add(std::move(report));
 
   const HttpResponse resp = http_get(server_.port(), "/solvez");
   ASSERT_TRUE(resp.ok);
@@ -246,18 +245,20 @@ TEST_F(HttpExporterFixture, SecondStartWhileRunningFails) {
   EXPECT_FALSE(server_.last_error().empty());
 }
 
-TEST_F(HttpExporterFixture, SlowzServesFlightRecorderJson) {
-  obs::FlightRecorder& rec = obs::FlightRecorder::global();
-  rec.clear();
-  rec.arm(0.25);
-  obs::FlightEntry entry;
+TEST_F(HttpExporterFixture, SlowzServesSlowJobRecords) {
+  obs::JobLog& log = obs::JobLog::global();
+  log.clear();
+  log.arm(0.25);
+  obs::JobRecord entry;
   entry.job_id = 77;
   entry.tag = "http-slow-test";
+  entry.job_status = "completed";
   entry.solve_seconds = 0.4;
+  entry.slow = log.over_slo(entry.solve_seconds);
   entry.slo_seconds = 0.25;
   entry.phases.push_back({"cubis.solve", 1000000, 1});
-  ASSERT_GT(rec.record(entry), 0);
-  rec.disarm();
+  ASSERT_GT(log.add(std::move(entry)), 0);
+  log.disarm();
 
   const HttpResponse resp = http_get(server_.port(), "/slowz");
   ASSERT_TRUE(resp.ok);
@@ -267,23 +268,22 @@ TEST_F(HttpExporterFixture, SlowzServesFlightRecorderJson) {
   EXPECT_NE(resp.body.find("\"job_id\":77"), std::string::npos);
   EXPECT_NE(resp.body.find("\"http-slow-test\""), std::string::npos);
   EXPECT_NE(resp.body.find("\"cubis.solve\""), std::string::npos);
-  rec.clear();
+  log.clear();
 }
 
 TEST_F(HttpExporterFixture, AuditzServesFailureRing) {
-  obs::AuditLog& log = obs::AuditLog::global();
+  obs::JobLog& log = obs::JobLog::global();
   log.clear();
-  obs::AuditRecord rec;
-  rec.job_id = 42;
-  rec.tag = "http-audit-test";
-  rec.solver = "cubis";
-  rec.worst_code = "worst-case-mismatch";
-  rec.detail = "claimed -1.25 but recomputed -1.75";
-  rec.findings = 1;
-  rec.max_residual = 0.5;
-  rec.recomputed_worst_case = -1.75;
-  rec.verify_seconds = 0.002;
-  ASSERT_GT(log.record(std::move(rec)), 0);
+  obs::AuditVerdict verdict;
+  verdict.worst_code = "worst-case-mismatch";
+  verdict.detail = "claimed -1.25 but recomputed -1.75";
+  verdict.findings = 1;
+  verdict.max_residual = 0.5;
+  verdict.recomputed_worst_case = -1.75;
+  verdict.verify_seconds = 0.002;
+  ASSERT_GT(log.attach_audit(42, "http-audit-test", "cubis",
+                             std::move(verdict)),
+            0);
 
   const HttpResponse resp = http_get(server_.port(), "/auditz");
   ASSERT_TRUE(resp.ok);

@@ -16,11 +16,10 @@
 #include <gtest/gtest.h>
 
 #include "common/log.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/job_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/process_metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/solve_report.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -287,46 +286,90 @@ TEST(Log, SinkSwapWhileWorkersEmitIsSafe) {
   set_log_sink(nullptr);
 }
 
-TEST(SolveReportBuffer, RingEvictsOldestAndKeepsIds) {
-  obs::SolveReportBuffer buffer(4);
+/// Balanced braces/brackets outside strings: a cheap well-formedness
+/// check for the hand-rolled JSON writers.
+void expect_balanced_json(const std::string& json) {
+  std::int64_t braces = 0;
+  std::int64_t brackets = 0;
+  bool in_string = false;
+  bool escaped = false;
+  for (const char ch : json) {
+    if (in_string) {
+      if (escaped) {
+        escaped = false;
+      } else if (ch == '\\') {
+        escaped = true;
+      } else if (ch == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    in_string = ch == '"';
+    braces += ch == '{' ? 1 : (ch == '}' ? -1 : 0);
+    brackets += ch == '[' ? 1 : (ch == ']' ? -1 : 0);
+  }
+  EXPECT_FALSE(in_string) << json;
+  EXPECT_EQ(braces, 0) << json;
+  EXPECT_EQ(brackets, 0) << json;
+}
+
+/// A completed job's record with `targets` as its payload marker.
+obs::JobRecord job_record(std::uint64_t job_id, std::size_t targets = 0) {
+  obs::JobRecord r;
+  r.job_id = job_id;
+  r.job_status = "completed";
+  r.solver = "ring-test";
+  r.has_solution = true;
+  r.targets = targets;
+  return r;
+}
+
+TEST(JobLog, RingEvictsOldestAndKeepsIds) {
+  obs::JobLog log(4);
   for (int i = 1; i <= 10; ++i) {
-    obs::SolveReport r;
-    r.solver = "ring-test";
-    r.targets = static_cast<std::size_t>(i);
-    const std::int64_t id = buffer.add(std::move(r));
+    const std::int64_t id =
+        log.add(job_record(static_cast<std::uint64_t>(i),
+                           static_cast<std::size_t>(i)));
     EXPECT_EQ(id, i);  // ids count every add, not just retained ones
   }
-  EXPECT_EQ(buffer.size(), 4u);
-  EXPECT_EQ(buffer.capacity(), 4u);
-  EXPECT_EQ(buffer.total_recorded(), 10);
-  const std::vector<obs::SolveReport> recent = buffer.recent();
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_EQ(log.capacity(), 4u);
+  EXPECT_EQ(log.total(), 10);
+  const std::vector<obs::JobRecord> recent = log.recent();
   ASSERT_EQ(recent.size(), 4u);
   // Oldest first: adds 7..10 survive, 1..6 were evicted.
   for (std::size_t i = 0; i < recent.size(); ++i) {
     EXPECT_EQ(recent[i].id, static_cast<std::int64_t>(7 + i));
     EXPECT_EQ(recent[i].targets, static_cast<std::size_t>(7 + i));
   }
-  buffer.clear();
-  EXPECT_EQ(buffer.size(), 0u);
-  EXPECT_EQ(buffer.total_recorded(), 10);  // history counter survives
+  log.clear();
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.total(), 10);  // history counter survives
+  EXPECT_EQ(log.add(job_record(11)), 11);  // and so do the ids
 }
 
-TEST(SolveReportBuffer, JsonCarriesTrajectoryAndTotals) {
-  obs::SolveReportBuffer buffer(8);
-  obs::SolveReport r;
+TEST(JobLog, JsonCarriesTrajectoryAndTotals) {
+  obs::JobLog log(8);
+  obs::JobRecord r = job_record(3, 5);
   r.solver = "cubis-test";
   r.status = "optimal";
-  r.targets = 5;
+  r.cache = obs::CacheVerdict::kTransplant;
+  r.attempts = 2;
   r.lb = 0.5;
   r.ub = 0.625;
   r.worst_case_utility = 0.6;
   r.binary_steps = 2;
   r.trajectory.push_back({0.0, 1.0, 2, 1});
   r.trajectory.push_back({0.5, 0.625, 1, 3});
-  buffer.add(std::move(r));
-  const std::string json = buffer.to_json();
+  log.add(std::move(r));
+  const std::string json = log.to_json(obs::JobView::kAll);
   EXPECT_NE(json.find("\"total\":1"), std::string::npos);
   EXPECT_NE(json.find("\"capacity\":8"), std::string::npos);
+  EXPECT_NE(json.find("\"reports\":["), std::string::npos);
+  EXPECT_NE(json.find("\"job_id\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"job_status\":\"completed\""), std::string::npos);
+  EXPECT_NE(json.find("\"attempts\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"cache\":\"transplant\""), std::string::npos);
   EXPECT_NE(json.find("\"solver\":\"cubis-test\""), std::string::npos);
   EXPECT_NE(json.find("\"status\":\"optimal\""), std::string::npos);
   EXPECT_NE(json.find("\"trajectory\""), std::string::npos);
@@ -334,43 +377,36 @@ TEST(SolveReportBuffer, JsonCarriesTrajectoryAndTotals) {
   EXPECT_NE(json.find("\"infeasible\":3"), std::string::npos);
   // Gap of the second round: 0.625 - 0.5.
   EXPECT_NE(json.find("0.125"), std::string::npos);
-  // Balanced braces/brackets as a cheap well-formedness check.
-  std::int64_t braces = 0;
-  std::int64_t brackets = 0;
-  bool in_string = false;
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    const char ch = json[i];
-    if (ch == '"' && (i == 0 || json[i - 1] != '\\')) in_string = !in_string;
-    if (in_string) continue;
-    braces += ch == '{' ? 1 : (ch == '}' ? -1 : 0);
-    brackets += ch == '[' ? 1 : (ch == ']' ? -1 : 0);
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
+  // Not slow, not audited: no forensic or verdict fields.
+  EXPECT_EQ(json.find("\"phases\""), std::string::npos);
+  EXPECT_EQ(json.find("\"worst_code\""), std::string::npos);
+  expect_balanced_json(json);
 }
 
-TEST(SolveReportBuffer, ConcurrentAddsKeepRingConsistent) {
-  obs::SolveReportBuffer buffer(16);
+TEST(JobLog, ConcurrentAddsKeepRingConsistent) {
+  obs::JobLog log(16);
   constexpr int kThreads = 8;
   constexpr int kAddsPerThread = 500;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&buffer, t] {
+    threads.emplace_back([&log, t] {
       for (int i = 0; i < kAddsPerThread; ++i) {
-        obs::SolveReport r;
+        obs::JobRecord r = job_record(static_cast<std::uint64_t>(i + 1));
         r.solver = "writer-" + std::to_string(t);
         r.trajectory.push_back({0.0, 1.0, 1, 0});
-        buffer.add(std::move(r));
+        // A sprinkling of flagged records exercises the retention scan.
+        r.slow = i % 97 == 0;
+        log.add(std::move(r));
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(buffer.size(), 16u);
-  EXPECT_EQ(buffer.total_recorded(),
-            std::int64_t{kThreads} * kAddsPerThread);
+  EXPECT_EQ(log.size(), 16u);
+  EXPECT_EQ(log.total(), std::int64_t{kThreads} * kAddsPerThread);
+  EXPECT_EQ(log.total(obs::JobView::kSlow), std::int64_t{kThreads} * 6);
   // All ids unique and within the issued range.
-  const std::vector<obs::SolveReport> recent = buffer.recent();
+  const std::vector<obs::JobRecord> recent = log.recent();
   for (std::size_t i = 1; i < recent.size(); ++i) {
     EXPECT_LT(recent[i - 1].id, recent[i].id);  // oldest-first ordering
   }
@@ -606,105 +642,172 @@ TEST(Profiler, SamplesRegisteredWorkerThreads) {
   obs::profiler_clear();
 }
 
-TEST(FlightRecorder, RecordsOnlyWhenArmedAndEvictsOldest) {
-  obs::FlightRecorder rec(4);
-  obs::FlightEntry e;
-  e.tag = "disarmed";
-  EXPECT_EQ(rec.record(e), 0);  // disarmed: dropped
-  EXPECT_EQ(rec.size(), 0u);
+TEST(JobLog, SlowViewHoldsOnlyRecordsOverTheArmedSlo) {
+  obs::JobLog log(4);
+  EXPECT_FALSE(log.over_slo(10.0));  // disarmed: nothing is slow
+  log.add(job_record(1));
+  EXPECT_TRUE(log.recent(obs::JobView::kSlow).empty());
 
-  rec.arm(0.25);
-  EXPECT_TRUE(rec.armed());
-  EXPECT_DOUBLE_EQ(rec.slo_seconds(), 0.25);
-  for (int i = 1; i <= 10; ++i) {
-    obs::FlightEntry entry;
-    entry.job_id = static_cast<std::uint64_t>(i);
-    entry.solve_seconds = 0.3 + 0.01 * i;
-    EXPECT_EQ(rec.record(entry), i);
+  log.arm(0.25);
+  EXPECT_TRUE(log.armed());
+  EXPECT_DOUBLE_EQ(log.slo_seconds(), 0.25);
+  EXPECT_FALSE(log.over_slo(0.2));
+  EXPECT_TRUE(log.over_slo(0.25));  // meeting the SLO counts
+  for (int i = 2; i <= 11; ++i) {
+    obs::JobRecord r = job_record(static_cast<std::uint64_t>(i));
+    r.solve_seconds = 0.3 + 0.01 * i;
+    r.slow = log.over_slo(r.solve_seconds);
+    EXPECT_EQ(log.add(std::move(r)), i);
   }
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.capacity(), 4u);
-  EXPECT_EQ(rec.total_recorded(), 10);
-  const std::vector<obs::FlightEntry> recent = rec.recent();
-  ASSERT_EQ(recent.size(), 4u);
-  for (std::size_t i = 0; i < recent.size(); ++i) {
-    EXPECT_EQ(recent[i].id, static_cast<std::int64_t>(7 + i));
-    EXPECT_EQ(recent[i].job_id, 7 + i);
+  // Every retained record is flagged, so the oldest go first.
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_EQ(log.total(obs::JobView::kSlow), 10);
+  const std::vector<obs::JobRecord> slow = log.recent(obs::JobView::kSlow);
+  ASSERT_EQ(slow.size(), 4u);
+  for (std::size_t i = 0; i < slow.size(); ++i) {
+    EXPECT_EQ(slow[i].id, static_cast<std::int64_t>(8 + i));
+    EXPECT_EQ(slow[i].job_id, 8 + i);
   }
-  rec.disarm();
-  EXPECT_FALSE(rec.armed());
-  rec.clear();
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.total_recorded(), 10);
+  log.disarm();
+  EXPECT_FALSE(log.armed());
+  EXPECT_FALSE(log.over_slo(10.0));
+  log.clear();
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.total(obs::JobView::kSlow), 10);
 }
 
-TEST(FlightRecorder, ArmTogglesPhaseAccounting) {
-  obs::FlightRecorder rec(2);
+TEST(JobLog, ArmTogglesPhaseAccounting) {
+  obs::JobLog log(2);
   EXPECT_FALSE(obs::phase_accounting_enabled());
-  rec.arm(1.0);
+  log.arm(1.0);
   EXPECT_TRUE(obs::phase_accounting_enabled());
-  rec.disarm();
+  log.disarm();
   EXPECT_FALSE(obs::phase_accounting_enabled());
 }
 
-TEST(FlightRecorder, JsonCarriesForensicFields) {
-  obs::FlightRecorder rec(8);
-  rec.arm(0.1);
-  obs::FlightEntry e;
-  e.job_id = 9;
-  e.tag = "t200_k10";
-  e.worker = 2;
-  e.queue_seconds = 0.004;
-  e.solve_seconds = 0.35;
-  e.slo_seconds = 0.1;
-  e.budget_deadline_seconds = 1.5;
-  e.budget_nodes = 123;
-  e.budget_iterations = 456;
-  e.budget_cancelled = false;
-  e.phases.push_back({"cubis.round", 2000000, 5});
-  e.has_report = true;
-  e.report.solver = "cubis";
-  e.report.status = "optimal";
-  rec.record(e);
-  rec.disarm();
-  const std::string json = rec.to_json();
+TEST(JobLog, JsonCarriesForensicFields) {
+  obs::JobLog log(8);
+  log.arm(0.1);
+  obs::JobRecord r = job_record(9);
+  r.tag = "t200_k10";
+  r.worker = 2;
+  r.queue_seconds = 0.004;
+  r.solve_seconds = 0.35;
+  r.slow = log.over_slo(r.solve_seconds);
+  r.slo_seconds = 0.1;
+  r.deadline_seconds = 1.5;
+  r.budget_nodes = 123;
+  r.budget_iterations = 456;
+  r.phases.push_back({"cubis.round", 2000000, 5});
+  r.solver = "cubis";
+  r.status = "optimal";
+  log.add(std::move(r));
+  log.add(job_record(10));  // fast: in /solvez, not in /slowz
+  log.disarm();
+  const std::string json = log.to_json(obs::JobView::kSlow);
+  EXPECT_NE(json.find("\"armed\":false"), std::string::npos);
+  EXPECT_NE(json.find("\"entries\":["), std::string::npos);
+  EXPECT_NE(json.find("\"total\":1"), std::string::npos);
   EXPECT_NE(json.find("\"slo_seconds\":0.1"), std::string::npos);
   EXPECT_NE(json.find("\"job_id\":9"), std::string::npos);
+  EXPECT_EQ(json.find("\"job_id\":10"), std::string::npos);
   EXPECT_NE(json.find("\"tag\":\"t200_k10\""), std::string::npos);
   EXPECT_NE(json.find("\"worker\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"deadline_seconds\":1.5"), std::string::npos);
   EXPECT_NE(json.find("\"nodes_charged\":123"), std::string::npos);
   EXPECT_NE(json.find("\"iterations_charged\":456"), std::string::npos);
   EXPECT_NE(json.find("\"cubis.round\""), std::string::npos);
   EXPECT_NE(json.find("\"solver\":\"cubis\""), std::string::npos);
-  std::int64_t braces = 0;
-  std::int64_t brackets = 0;
-  bool in_string = false;
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    const char ch = json[i];
-    if (ch == '"' && (i == 0 || json[i - 1] != '\\')) in_string = !in_string;
-    if (in_string) continue;
-    braces += ch == '{' ? 1 : (ch == '}' ? -1 : 0);
-    brackets += ch == '[' ? 1 : (ch == ']' ? -1 : 0);
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
+  expect_balanced_json(json);
+  const std::string all = log.to_json(obs::JobView::kAll);
+  EXPECT_NE(all.find("\"job_id\":10"), std::string::npos);
+  expect_balanced_json(all);
 }
 
-TEST(SolveReportBuffer, LastReportOnThisThreadTracksAdds) {
-  obs::SolveReport r;
-  r.solver = "thread-local-test";
-  const std::int64_t id = obs::SolveReportBuffer::global().add(std::move(r));
-  const obs::SolveReport last = obs::last_solve_report_on_this_thread();
-  EXPECT_EQ(last.id, id);
-  EXPECT_EQ(last.solver, "thread-local-test");
-  // Another thread's adds never leak into this thread's slot.
-  std::thread other([] {
-    obs::SolveReport r2;
-    r2.solver = "other-thread";
-    obs::SolveReportBuffer::global().add(std::move(r2));
-  });
-  other.join();
-  EXPECT_EQ(obs::last_solve_report_on_this_thread().id, id);
+TEST(JobLog, AuditVerdictAttachesToTheNewestRecordOfItsJob) {
+  obs::JobLog log(8);
+  log.add(job_record(5));
+  const std::int64_t newest = log.add(job_record(5));
+  log.add(job_record(6));
+  obs::AuditVerdict clean;
+  clean.worst_code = "ok";
+  EXPECT_EQ(log.attach_audit(6, "t", "cubis", clean), 3);
+  EXPECT_EQ(log.attach_audit(99, "t", "cubis", clean), 0);  // dropped
+  obs::AuditVerdict bad;
+  bad.worst_code = "worst-case-mismatch";
+  bad.findings = 1;
+  EXPECT_EQ(log.attach_audit(5, "t", "cubis", bad), newest);
+  EXPECT_EQ(log.size(), 3u);  // attached, not inserted
+  // No record of job 7 (and job 0 never matches): audit-only records.
+  const std::int64_t orphan = log.attach_audit(7, "orphan", "cubis", bad);
+  EXPECT_EQ(orphan, 4);
+  EXPECT_EQ(log.attach_audit(0, "verify", "cubis", bad), 5);
+  EXPECT_EQ(log.total(obs::JobView::kFailedAudit), 3);
+  const std::vector<obs::JobRecord> failed =
+      log.recent(obs::JobView::kFailedAudit);
+  ASSERT_EQ(failed.size(), 3u);
+  EXPECT_EQ(failed[0].id, newest);
+  EXPECT_EQ(failed[1].tag, "orphan");
+  EXPECT_TRUE(failed[1].job_status.empty());
+  const std::string json = log.to_json(obs::JobView::kFailedAudit);
+  EXPECT_NE(json.find("\"failures\":["), std::string::npos);
+  EXPECT_NE(json.find("\"worst_code\":\"worst-case-mismatch\""),
+            std::string::npos);
+  // The audit-only record renders no job section.
+  EXPECT_EQ(failed[1].to_json().find("\"job_status\""), std::string::npos);
+  expect_balanced_json(json);
+}
+
+// Retention: a burst of ordinary traffic larger than the ring must not
+// flush a slow job or an audit failure out of view.
+TEST(JobLog, FlaggedRecordsSurviveAnUnflaggedBurst) {
+  obs::JobLog log;  // the production capacity
+  obs::JobRecord slow = job_record(1);
+  slow.slow = true;
+  const std::int64_t slow_id = log.add(std::move(slow));
+  const std::int64_t failed_id = log.add(job_record(2));
+  obs::AuditVerdict bad;
+  bad.worst_code = "infeasible-strategy";
+  bad.findings = 2;
+  ASSERT_EQ(log.attach_audit(2, "", "cubis", bad), failed_id);
+  for (std::size_t i = 0; i < obs::JobLog::kCapacity; ++i) {
+    log.add(job_record(100 + i));
+  }
+  EXPECT_EQ(log.size(), obs::JobLog::kCapacity);
+  const std::vector<obs::JobRecord> all = log.recent();
+  EXPECT_EQ(all.front().id, slow_id);
+  EXPECT_EQ(all[1].id, failed_id);
+  // The two oldest unflagged records were the ones evicted.
+  EXPECT_EQ(all[2].job_id, 102u);
+  EXPECT_EQ(all.back().job_id, 100 + obs::JobLog::kCapacity - 1);
+  ASSERT_EQ(log.recent(obs::JobView::kSlow).size(), 1u);
+  ASSERT_EQ(log.recent(obs::JobView::kFailedAudit).size(), 1u);
+}
+
+// Caller text (scenario paths, audit details) may hold any byte: every
+// one below 0x20 must be \u-escaped so the views stay parseable JSON.
+TEST(JobLog, ControlBytesInTagAndDetailAreEscaped) {
+  obs::JobLog log(2);
+  obs::JobRecord r = job_record(1);
+  r.tag = "a\tb\x01.scn";
+  log.add(std::move(r));
+  obs::AuditVerdict bad;
+  bad.worst_code = "worst-case-mismatch";
+  bad.detail = "line1\nline2\t\x01\"q\"\\";
+  bad.findings = 1;
+  log.attach_audit(1, "", "cubis", bad);
+  for (const obs::JobView view :
+       {obs::JobView::kAll, obs::JobView::kFailedAudit}) {
+    const std::string json = log.to_json(view);
+    for (const char ch : json) {
+      EXPECT_GE(static_cast<unsigned char>(ch), 0x20) << json;
+    }
+    EXPECT_NE(json.find("a\\u0009b\\u0001.scn"), std::string::npos) << json;
+    EXPECT_NE(json.find("line1\\u000aline2\\u0009\\u0001\\\"q\\\"\\\\"),
+              std::string::npos)
+        << json;
+    expect_balanced_json(json);
+  }
 }
 
 TEST(ProcessMetrics, PopulatesSelfGauges) {

@@ -285,9 +285,9 @@ TEST(Prometheus, EmptySnapshotIsEmptyText) {
   EXPECT_EQ(obs::to_prometheus_text(obs::MetricsSnapshot{}), "");
 }
 
-// Satellite lint: the metric families added by the profiler/flight-
-// recorder PR — process self-metrics, the engine queue-wait histogram,
-// the slow-solve counter — must serialize promtool-clean.
+// Lint: the profiler and slow-job metric families — process
+// self-metrics, the engine queue-wait histogram, the slow-solve counter —
+// must serialize promtool-clean.
 TEST(Prometheus, NewObservabilityFamiliesLintClean) {
   obs::MetricsSnapshot snap;
   snap.gauges.push_back({"process.resident_memory_bytes", 1.5e8});
